@@ -8,14 +8,13 @@ every iteration and is reinforced in proportion to 1/cost.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .data import DecisionTable, SplitSpec, split
-from .discretize import CutSet, _interior_cuts, apply_cuts, percentile_value_grid
+from .discretize import CutSet, apply_cuts, interior_cuts, percentile_value_grid
 from .roughset import classify_table, induce_rules
 
 N_POSITIONS = 99  # candidate percentiles 1..99
@@ -223,7 +222,7 @@ def construct_solution(
             prev = pos
         all_percentiles.append(tuple(chosen))
         raw = [float(grid.values[a, p - 1]) for p in chosen]
-        all_cuts.append(_interior_cuts(raw, float(grid.minima[a]), float(grid.maxima[a])))
+        all_cuts.append(interior_cuts(raw, float(grid.minima[a]), float(grid.maxima[a])))
     return AntSolution(tuple(all_percentiles), CutSet(tuple(all_cuts)))
 
 
@@ -264,46 +263,37 @@ def optimize(
 
     The training table is split FIT_FRACTION/rest into fit and validation
     parts (seeded by params.seed); candidate cut values are the integer
-    percentiles of the full training table. Deterministic for a fixed seed
-    regardless of worker count: each ant draws from its own RNG stream keyed
-    by (seed, iteration, ant index).
+    percentiles of the full training table. Each ant draws from its own RNG
+    stream keyed by (seed, iteration, ant index), so a fixed seed gives a
+    fixed search. Ants run in order on the calling thread; ``workers`` is
+    validated but does not change how the search runs.
     """
+    if workers < 1:
+        raise ValueError("workers must be positive")
     fit, validation = split(train, SplitSpec(train_fraction=FIT_FRACTION, seed=params.seed))
     grid = PercentileGrid.from_table(train)
     model = initial_model(train.n_attributes, eta=eta)
 
-    def run_ant(iteration: int, ant: int, frozen_model: PheromoneModel) -> AntSolution:
-        rng = np.random.default_rng((params.seed, iteration, ant))
-        solution = construct_solution(frozen_model, params, grid, rng)
-        solution.cost = evaluate_solution(solution, fit, validation)
-        return solution
-
     best: AntSolution | None = None
     history: list[IterationStats] = []
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for iteration in range(params.num_iterations):
-            if pool is None:
-                solutions = [run_ant(iteration, k, model) for k in range(params.num_ants)]
-            else:
-                solutions = list(
-                    pool.map(lambda k: run_ant(iteration, k, model), range(params.num_ants))
-                )
-            for solution in solutions:  # ant order: ties keep the earliest discovery
-                if best is None or solution.cost < best.cost:
-                    best = solution
-            model = update_pheromones(model, solutions, params)
-            stats = IterationStats(
-                iteration=iteration,
-                best_cost=best.cost,
-                mean_cost=float(np.mean([s.cost for s in solutions])),
-            )
-            history.append(stats)
-            if progress is not None:
-                progress(stats)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for iteration in range(params.num_iterations):
+        solutions = []
+        for ant in range(params.num_ants):
+            rng = np.random.default_rng((params.seed, iteration, ant))
+            solution = construct_solution(model, params, grid, rng)
+            solution.cost = evaluate_solution(solution, fit, validation)
+            solutions.append(solution)
+            if best is None or solution.cost < best.cost:  # ties keep the earliest discovery
+                best = solution
+        model = update_pheromones(model, solutions, params)
+        stats = IterationStats(
+            iteration=iteration,
+            best_cost=best.cost,
+            mean_cost=float(np.mean([s.cost for s in solutions])),
+        )
+        history.append(stats)
+        if progress is not None:
+            progress(stats)
     return best, history
 
 

@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
+from typing import Callable
 
 from . import synth
 from .aco import AcoParams, optimize, write_history_csv
 from .data import DecisionTable, SplitSpec, clip_outliers, load_csv, split, write_csv
-from .discretize import CutSet, apply_cuts, cuts_to_json, efb_cuts
+from .discretize import CutSet, cuts_to_json, efb_cuts
 from .metrics import EvaluationReport, evaluate_pipeline, report_to_json, roc_to_csv
-from .roughset import induce_rules, ruleset_to_json
+from .roughset import ruleset_to_json
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,6 @@ def _report_payload(report: EvaluationReport, discretizer: str, seed: int) -> di
     payload = {"discretizer": discretizer}
     payload.update(report_to_json(report))
     payload["seed"] = seed
-    payload["cuts_file"] = "cuts.json"
     return payload
 
 
@@ -97,6 +96,20 @@ def _write_json(payload: dict, path: Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def _write_outputs(out: Path, writers: dict[str, Callable[[Path], None]]) -> None:
+    """Write each named file into ``out``; if one fails, remove those already written."""
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    try:
+        for name, write in writers.items():
+            written.append(out / name)
+            write(written[-1])
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _comparison_text(reports: dict[str, EvaluationReport]) -> str:
@@ -132,42 +145,25 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _output_paths(out_dir: Path, names: list[str]) -> list[Path]:
-    return [out_dir / name for name in names]
-
-
 def cmd_run(config: RunConfig) -> int:
     table = _load_table(config)
     train, test = split(table, config.split_spec)
     report, cuts, history = _train_arm(config, config.discretizer, train, test)
-    rules = induce_rules(apply_cuts(train, cuts))
+    payload = _report_payload(report, config.discretizer, config.split_spec.seed)
+    payload["cuts_file"] = "cuts.json"
 
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    declared = ["report.json", "rules.json", "cuts.json", "roc.csv"]
+    writers = {
+        "report.json": lambda path: _write_json(payload, path),
+        "rules.json": lambda path: _write_json(ruleset_to_json(report.rules), path),
+        "cuts.json": lambda path: _write_json(cuts_to_json(cuts, train.attribute_names), path),
+        "roc.csv": lambda path: roc_to_csv(report.curve, path),
+    }
     if config.discretizer == "aco":
-        declared.append("convergence.csv")
-    written: list[Path] = []
-    try:
-        for name, path in zip(declared, _output_paths(out, declared)):
-            written.append(path)
-            if name == "report.json":
-                _write_json(_report_payload(report, config.discretizer, config.split_spec.seed), path)
-            elif name == "rules.json":
-                _write_json(ruleset_to_json(rules), path)
-            elif name == "cuts.json":
-                _write_json(cuts_to_json(cuts, train.attribute_names), path)
-            elif name == "roc.csv":
-                roc_to_csv(report.curve, path)
-            elif name == "convergence.csv":
-                write_history_csv(history, path)
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+        writers["convergence.csv"] = lambda path: write_history_csv(history, path)
+    _write_outputs(config.output_dir, writers)
     print(
         f"{config.discretizer}: accuracy={report.accuracy:.4f} auc={report.auc:.4f} "
-        f"rules={report.num_rules} -> {out}"
+        f"rules={report.num_rules} -> {config.output_dir}"
     )
     return 0
 
@@ -192,20 +188,11 @@ def cmd_compare(config: RunConfig) -> int:
         "deltas": deltas,
         "test_objects": test.n_objects,
     }
-    for arm in ("efb", "aco"):
-        del payload[arm]["cuts_file"]  # compare does not persist per-arm cut files
-
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     text = _comparison_text(reports)
-    written = [out / "compare.json", out / "compare.txt"]
-    try:
-        _write_json(payload, written[0])
-        written[1].write_text(text, encoding="utf-8")
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+    _write_outputs(config.output_dir, {
+        "compare.json": lambda path: _write_json(payload, path),
+        "compare.txt": lambda path: path.write_text(text, encoding="utf-8"),
+    })
     print(text, end="")
     return 0
 
@@ -219,8 +206,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for generation, split, and search (default 0)")
     parser.add_argument("--out", type=Path, required=True, help="output directory")
     parser.add_argument("--cuts", type=int, default=2, help="cuts per attribute (default 2)")
-    parser.add_argument("--workers", type=int, default=max(os.cpu_count() or 1, 1),
-                        help="worker threads for the ACO search (default: available parallelism)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; the ACO search runs on one thread (default 1)")
     parser.add_argument("--clip-outliers", action="store_true",
                         help="clip each attribute to its [0.5, 99.5] percentile range")
     parser.add_argument("--ants", type=int, default=10, help="ACO: number of ants (default 10)")

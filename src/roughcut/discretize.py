@@ -77,7 +77,7 @@ class DiscretizedTable:
         return self.bins.shape[1]
 
 
-def _interior_cuts(raw: list[float], lo: float, hi: float) -> tuple[float, ...]:
+def interior_cuts(raw: list[float], lo: float, hi: float) -> tuple[float, ...]:
     """Deduplicate and keep only cuts strictly inside (lo, hi)."""
     kept: list[float] = []
     for c in raw:
@@ -107,7 +107,7 @@ def efb_cuts(table: DecisionTable, num_cuts: int) -> CutSet:
             b = round(n * q / (num_cuts + 1))
             b = min(max(b, 1), n - 1)
             raw.append((col[b - 1] + col[b]) / 2.0)
-        per_attribute.append(_interior_cuts(raw, col[0], col[-1]))
+        per_attribute.append(interior_cuts(raw, col[0], col[-1]))
     return CutSet(tuple(per_attribute))
 
 

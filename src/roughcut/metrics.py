@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import DecisionTable
 from .discretize import CutSet, apply_cuts
-from .roughset import classify_table, induce_rules
+from .roughset import RuleSet, classify_table, induce_rules
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,7 @@ class EvaluationReport:
     train_time_s: float
     test_time_s: float
     curve: RocCurve | None = field(repr=False, compare=False, default=None)
+    rules: RuleSet | None = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not 0.0 <= self.accuracy <= 1.0 or not 0.0 <= self.auc <= 1.0:
@@ -125,7 +126,8 @@ def auc(curve: RocCurve) -> float:
     """Trapezoidal area under the ROC curve."""
     xs = np.array([p[0] for p in curve.points])
     ys = np.array([p[1] for p in curve.points])
-    return float(np.trapezoid(ys, xs))
+    # The expression np.trapezoid evaluates, which numpy < 2.0 lacks.
+    return float((np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0).sum())
 
 
 def evaluate_pipeline(
@@ -158,6 +160,7 @@ def evaluate_pipeline(
         train_time_s=train_time,
         test_time_s=test_time,
         curve=curve,
+        rules=rules,
     )
 
 

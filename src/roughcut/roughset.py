@@ -73,24 +73,68 @@ class RuleSet:
     rules: tuple[Rule, ...]
     default_decision: int
     attribute_bin_counts: tuple[int, ...]
-    _index: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # Rule condition keys in sorted order, and the position in ``rules`` of each.
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
+    _positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        index = {}
         n_attrs = len(self.attribute_bin_counts)
-        for rule in self.rules:
-            key = tuple(rule.conditions[a] for a in range(n_attrs))
-            if key in index:
-                raise ValueError("duplicate rule conditions")
-            index[key] = rule
-        object.__setattr__(self, "_index", index)
+        conditions = np.array(
+            [[rule.conditions[a] for a in range(n_attrs)] for rule in self.rules], dtype=np.int64
+        ).reshape(len(self.rules), n_attrs)
+        keys, first, _ = _group_rows(conditions)
+        if first.size < len(self.rules):
+            raise ValueError("duplicate rule conditions")
+        positions = np.argsort(keys)
+        object.__setattr__(self, "_keys", keys[positions])
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def n_certain(self) -> int:
         return sum(1 for r in self.rules if r.certain)
 
+    def match(self, bins: np.ndarray) -> np.ndarray:
+        """Position in ``rules`` of the rule matching each row of a bin matrix, or -1."""
+        bins = np.asarray(bins, dtype=np.int64)
+        n_attrs = len(self.attribute_bin_counts)
+        if bins.ndim != 2 or bins.shape[1] != n_attrs:
+            raise ValueError(f"expected {n_attrs} bins per object, got shape {bins.shape}")
+        keys = _row_keys(bins)
+        if not self.rules:
+            return np.full(keys.size, -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        return np.where(self._keys[at] == keys, self._positions[at], -1)
+
     def lookup(self, key: tuple[int, ...]) -> Rule | None:
-        return self._index.get(key)
+        at = int(self.match([key])[0])
+        return None if at < 0 else self.rules[at]
+
+
+def _row_keys(bins: np.ndarray) -> np.ndarray:
+    """One np.void key per row of a 2-D bin matrix: the row's bytes.
+
+    Two keys are equal exactly when their rows are, however wide the table.
+    """
+    rows = np.ascontiguousarray(bins, dtype=np.int64)
+    if rows.shape[1] == 0:
+        raise ValueError("bin matrix must have at least one attribute")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _group_rows(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of a bin matrix by exact equality.
+
+    Cells are numbered by first appearance. Returns ``(keys, first, cell_of)``:
+    cell c has row key ``keys[c]`` and first row ``first[c]``, and row r lies
+    in cell ``cell_of[r]``.
+    """
+    keys = _row_keys(bins)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.size)
+    first = first[order]
+    return keys[first], first, renumber[inverse.ravel()]
 
 
 def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
@@ -100,16 +144,11 @@ def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
         raise ValueError("attribute subset must be non-empty")
     if attrs[0] < 0 or attrs[-1] >= table.n_attributes:
         raise ValueError("attribute index out of range")
-    projected = table.bins[:, attrs]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(map(tuple, projected.tolist())):
-        groups.setdefault(row, []).append(i)
-    class_of = np.empty(table.n_objects, dtype=np.int64)
-    classes = []
-    for c, members in enumerate(groups.values()):
-        classes.append(frozenset(members))
-        class_of[members] = c
-    return Partition(tuple(classes), class_of)
+    _, _, class_of = _group_rows(table.bins[:, attrs])
+    members = np.argsort(class_of, kind="stable")
+    bounds = np.cumsum(np.bincount(class_of))
+    classes = tuple(frozenset(m.tolist()) for m in np.split(members, bounds)[:-1])
+    return Partition(classes, class_of)
 
 
 def approximate(part: Partition, decisions: Sequence[int], target: int) -> Approximation:
@@ -157,37 +196,41 @@ def induce_rules(table: DiscretizedTable) -> RuleSet:
         raise ValueError("training table must contain both decision classes")
     prior_winner = 1 if total_ones >= total_zeros else 0
 
-    # key -> [class size, count of label 1]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    decisions = table.decisions.tolist()
-    for row, label in zip(map(tuple, table.bins.tolist()), decisions):
-        entry = groups.get(row)
-        if entry is None:
-            groups[row] = [1, label]
-        else:
-            entry[0] += 1
-            entry[1] += label
-
-    rules = []
-    for key, (size, ones) in groups.items():
-        zeros = size - ones
-        if ones > zeros:
-            decision = 1
-        elif zeros > ones:
-            decision = 0
-        else:
-            decision = prior_winner
-        confidence = (ones if decision == 1 else zeros) / size
-        rules.append(
-            Rule(
-                conditions=dict(enumerate(key)),
-                decision=decision,
-                support=size,
-                confidence=confidence,
-                certain=confidence == 1.0,
-            )
+    _, first, cell_of = _group_rows(table.bins)
+    sizes = np.bincount(cell_of)
+    ones = np.bincount(cell_of[table.decisions == 1], minlength=sizes.size)
+    zeros = sizes - ones
+    decisions = np.where(ones > zeros, 1, np.where(zeros > ones, 0, prior_winner))
+    confidences = np.where(decisions == 1, ones, zeros) / sizes
+    rules = tuple(
+        Rule(
+            conditions=dict(enumerate(key)),
+            decision=decision,
+            support=size,
+            confidence=confidence,
+            certain=confidence == 1.0,
         )
-    return RuleSet(tuple(rules), prior_winner, table.attribute_bin_counts)
+        for key, decision, size, confidence in zip(
+            table.bins[first].tolist(), decisions.tolist(), sizes.tolist(), confidences.tolist()
+        )
+    )
+    return RuleSet(rules, prior_winner, table.attribute_bin_counts)
+
+
+def _predict(rules: RuleSet, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decisions and class-1 scores for each row of a bin matrix."""
+    at = rules.match(bins)
+    counts = rules.attribute_bin_counts
+    bad = (bins < 0) | (bins >= np.asarray(counts))
+    if bad.any():
+        attr = int(np.nonzero(bad)[1][0])
+        raise ValueError(f"bin index out of range for attribute {attr} ({counts[attr]} bins)")
+    # Position -1, no matching rule, picks the fallback appended last.
+    decisions = np.array([r.decision for r in rules.rules] + [rules.default_decision], dtype=np.int64)
+    scores = np.array(
+        [r.confidence if r.decision == 1 else 1.0 - r.confidence for r in rules.rules] + [0.5]
+    )
+    return decisions[at], scores[at]
 
 
 def classify(rules: RuleSet, bins: Sequence[int]) -> tuple[int, float]:
@@ -197,44 +240,13 @@ def classify(rules: RuleSet, bins: Sequence[int]) -> tuple[int, float]:
     confidence (decision 1) or one minus it (decision 0). Unmatched vectors
     fall back to the default decision with a neutral score of 0.5.
     """
-    key = tuple(int(b) for b in bins)
-    counts = rules.attribute_bin_counts
-    if len(key) != len(counts):
-        raise ValueError(f"expected {len(counts)} bins, got {len(key)}")
-    for a, b in enumerate(key):
-        if b < 0 or b >= counts[a]:
-            raise ValueError(f"bin index {b} out of range for attribute {a} ({counts[a]} bins)")
-    rule = rules.lookup(key)
-    if rule is None:
-        return rules.default_decision, 0.5
-    score = rule.confidence if rule.decision == 1 else 1.0 - rule.confidence
-    return rule.decision, score
+    decisions, scores = _predict(rules, np.asarray(bins, dtype=np.int64).reshape(1, -1))
+    return int(decisions[0]), float(scores[0])
 
 
 def classify_table(rules: RuleSet, table: DiscretizedTable) -> tuple[np.ndarray, np.ndarray]:
     """Classify every object of a discretized table; returns (decisions, scores)."""
-    if table.n_attributes != len(rules.attribute_bin_counts):
-        raise ValueError("table attribute count does not match rule set")
-    limits = np.asarray(rules.attribute_bin_counts)
-    if table.n_objects and (table.bins >= limits).any():
-        raise ValueError("bin index out of range for the rule set's bin counts")
-    n = table.n_objects
-    decisions = np.empty(n, dtype=np.int64)
-    scores = np.empty(n, dtype=np.float64)
-    lookup = rules._index
-    default = rules.default_decision
-    for i, key in enumerate(map(tuple, table.bins.tolist())):
-        rule = lookup.get(key)
-        if rule is None:
-            decisions[i] = default
-            scores[i] = 0.5
-        elif rule.decision == 1:
-            decisions[i] = 1
-            scores[i] = rule.confidence
-        else:
-            decisions[i] = 0
-            scores[i] = 1.0 - rule.confidence
-    return decisions, scores
+    return _predict(rules, table.bins)
 
 
 def ruleset_to_json(rules: RuleSet) -> dict:

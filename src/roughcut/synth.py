@@ -23,6 +23,9 @@ GAS_NAMES = ("h2", "ch4", "c2h4", "c2h6", "c2h2", "co", "co2", "n2", "o2")
 FAULT_GASES = GAS_NAMES[:7]
 MIN_OBJECTS = 10
 
+# Bounded class-label redraws before generate() gives up on a two-class table.
+MAX_CLASS_DRAWS = 100
+
 
 @dataclass(frozen=True)
 class GasDistribution:
@@ -112,9 +115,12 @@ def generate(profile: GasProfile, n: int, seed: int) -> DecisionTable:
     if n < MIN_OBJECTS:
         raise ValueError(f"n must be at least {MIN_OBJECTS}")
     rng = np.random.default_rng(seed)
-    decisions = (rng.random(n) < profile.fault_fraction).astype(np.int64)
-    while decisions.sum() in (0, n):  # a training table needs both classes
+    for _ in range(MAX_CLASS_DRAWS):  # a training table needs both classes
         decisions = (rng.random(n) < profile.fault_fraction).astype(np.int64)
+        if 0 < decisions.sum() < n:
+            break
+    else:
+        raise ValueError(f"no draw of {n} labels held both classes in {MAX_CLASS_DRAWS} tries")
 
     shared = rng.standard_normal(n)
     mix = profile.latent_weight

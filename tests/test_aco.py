@@ -315,6 +315,13 @@ def test_optimize_worker_count_does_not_change_results():
     assert history_serial == history_parallel
 
 
+def test_optimize_rejects_nonpositive_workers():
+    table = random_train_table(np.random.default_rng(516), n=60, m=2)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            optimize(table, AcoParams(num_ants=1, num_iterations=1), workers=workers)
+
+
 def test_optimize_history_contract():
     rng = np.random.default_rng(517)
     table = random_train_table(rng, n=60, m=2)

@@ -2,11 +2,15 @@
 
 The oracle functions here re-derive every set from first principles with
 plain pairwise comparisons, so the vectorized implementations are checked
-against an independent construction rather than against themselves.
+against an independent construction rather than against themselves. The
+dict_* references are per-row dict loops, checked against with hypothesis.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from roughcut import (
     DiscretizedTable,
@@ -330,3 +334,148 @@ def test_ruleset_json_roundtrip():
     assert rebuilt.attribute_bin_counts == rules.attribute_bin_counts
     probe = tuple(table.bins[0].tolist())
     assert rebuilt.lookup(probe) == rules.lookup(probe)
+
+
+def dict_partition(bins):
+    """Loop reference: one class per distinct row, in order of first appearance."""
+    groups = {}
+    for i, row in enumerate(map(tuple, bins.tolist())):
+        groups.setdefault(row, []).append(i)
+    return [frozenset(members) for members in groups.values()]
+
+
+def dict_induce(bins, decisions):
+    """Loop reference: (conditions, decision, support, confidence, certain) per rule, plus the default."""
+    total_ones = int(decisions.sum())
+    prior_winner = 1 if total_ones >= len(decisions) - total_ones else 0
+    groups = {}
+    for row, label in zip(map(tuple, bins.tolist()), decisions.tolist()):
+        entry = groups.setdefault(row, [0, 0])
+        entry[0] += 1
+        entry[1] += label
+    rules = []
+    for key, (size, ones) in groups.items():
+        zeros = size - ones
+        decision = 1 if ones > zeros else 0 if zeros > ones else prior_winner
+        confidence = (ones if decision == 1 else zeros) / size
+        rules.append((dict(enumerate(key)), decision, size, confidence, confidence == 1.0))
+    return rules, prior_winner
+
+
+def dict_classify(payload, bins):
+    """Loop reference: decisions and scores of a rules.json payload for each row."""
+    n_attrs = len(payload["attribute_bin_counts"])
+    index = {
+        tuple(rule["conditions"][str(a)] for a in range(n_attrs)): rule
+        for rule in payload["rules"]
+    }
+    decisions, scores = [], []
+    for key in map(tuple, bins.tolist()):
+        rule = index.get(key)
+        if rule is None:
+            decisions.append(payload["default_decision"])
+            scores.append(0.5)
+        else:
+            decisions.append(rule["decision"])
+            confidence = rule["confidence"]
+            scores.append(confidence if rule["decision"] == 1 else 1.0 - confidence)
+    return decisions, scores
+
+
+def wide_table():
+    """40 attributes x 3 bins: a mixed-radix int64 key (3**40 > 2**63) would overflow."""
+    rng = np.random.default_rng(40)
+    distinct = rng.integers(0, 3, size=(8, 40))
+    distinct[0] = 2  # as a mixed-radix key: 3**40 - 1
+    bins = distinct[np.arange(30) % 8]
+    decisions = rng.integers(0, 2, size=30)
+    return DiscretizedTable(bins, decisions, (3,) * 40)
+
+
+WIDE = wide_table()
+WIDE_QUERIES = np.vstack([WIDE.bins, np.ones((1, 40), dtype=np.int64)])
+
+
+@st.composite
+def bin_tables(draw, min_rows=0):
+    # Few attributes and bins, so that cells often hold several objects.
+    n_attrs = draw(st.integers(1, 3))
+    n_bins = draw(st.integers(1, 3))
+    n = draw(st.integers(min_rows, 40))
+    bins = draw(hnp.arrays(np.int64, (n, n_attrs), elements=st.integers(0, n_bins - 1)))
+    decisions = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    return DiscretizedTable(bins, decisions, (n_bins,) * n_attrs)
+
+
+@st.composite
+def rule_payloads_with_queries(draw):
+    """A rules.json payload with distinct conditions, and bin rows to classify."""
+    n_attrs = draw(st.integers(1, 4))
+    n_bins = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, n_bins - 1)] * n_attrs)
+    keys = draw(st.lists(row, unique=True, max_size=12))
+    rules = []
+    for key in keys:
+        confidence = draw(st.floats(0.5, 1.0))
+        rules.append({
+            "conditions": {str(a): b for a, b in enumerate(key)},
+            "decision": draw(st.integers(0, 1)),
+            "support": draw(st.integers(1, 20)),
+            "confidence": confidence,
+            "certain": confidence == 1.0,
+        })
+    payload = {
+        "rules": rules,
+        "default_decision": draw(st.integers(0, 1)),
+        "attribute_bin_counts": [n_bins] * n_attrs,
+    }
+    queries = draw(hnp.arrays(np.int64, (draw(st.integers(0, 30)), n_attrs),
+                              elements=st.integers(0, n_bins - 1)))
+    return payload, queries
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(table=bin_tables())
+@example(table=WIDE)
+def test_partition_matches_dict_reference(table):
+    part = partition(table, range(table.n_attributes))
+    expected = dict_partition(table.bins)
+    assert list(part.classes) == expected
+    assert part.class_of.tolist() == [
+        next(c for c, members in enumerate(expected) if i in members)
+        for i in range(table.n_objects)
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(table=bin_tables(min_rows=2))
+@example(table=WIDE)
+def test_induce_rules_matches_dict_reference(table):
+    assume(0 < table.decisions.sum() < table.n_objects)
+    rules = induce_rules(table)
+    expected, default = dict_induce(table.bins, table.decisions)
+    observed = [(r.conditions, r.decision, r.support, r.confidence, r.certain) for r in rules.rules]
+    assert observed == expected
+    assert rules.default_decision == default
+
+
+@PROPERTY_SETTINGS
+@given(case=rule_payloads_with_queries())
+@example(case=(ruleset_to_json(induce_rules(WIDE)), WIDE_QUERIES))
+@example(case=({"rules": [], "default_decision": 1, "attribute_bin_counts": [3, 2]},
+               np.array([[0, 1], [2, 0]])))
+@example(case=(ruleset_to_json(induce_rules(WIDE)), np.zeros((0, 40), dtype=np.int64)))
+def test_classify_table_matches_dict_reference(case):
+    payload, queries = case
+    rules = ruleset_from_json(payload)
+    table = DiscretizedTable(queries, np.zeros(len(queries)), tuple(payload["attribute_bin_counts"]))
+    expected_decisions, expected_scores = dict_classify(payload, queries)
+    decisions, scores = classify_table(rules, table)
+    assert decisions.dtype == np.int64 and scores.dtype == np.float64
+    assert decisions.tolist() == expected_decisions
+    assert scores.tolist() == expected_scores
+    for row, decision, score in zip(queries.tolist(), expected_decisions, expected_scores):
+        assert classify(rules, row) == (decision, score)

@@ -53,6 +53,13 @@ def test_generate_always_emits_both_classes():
         assert zeros > 0 and ones > 0
 
 
+def test_generate_gives_up_when_one_class_is_out_of_reach():
+    profile = default_profile()
+    hopeless = GasProfile(gases=profile.gases, fault_fraction=1e-12, latent_weight=0.5)
+    with pytest.raises(ValueError, match="both classes"):
+        generate(hopeless, 10, seed=0)
+
+
 def test_fault_gases_separate_and_inert_gases_do_not():
     table = generate(default_profile(), 2000, seed=7)
     healthy = table.decisions == 0
