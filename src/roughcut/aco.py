@@ -255,7 +255,6 @@ def optimize(
     train: DecisionTable,
     params: AcoParams,
     *,
-    workers: int = 1,
     eta: np.ndarray | None = None,
     progress: Callable[[IterationStats], None] | None = None,
 ) -> tuple[AntSolution, list[IterationStats]]:
@@ -265,11 +264,8 @@ def optimize(
     parts (seeded by params.seed); candidate cut values are the integer
     percentiles of the full training table. Each ant draws from its own RNG
     stream keyed by (seed, iteration, ant index), so a fixed seed gives a
-    fixed search. Ants run in order on the calling thread; ``workers`` is
-    validated but does not change how the search runs.
+    fixed search.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
     fit, validation = split(train, SplitSpec(train_fraction=FIT_FRACTION, seed=params.seed))
     grid = PercentileGrid.from_table(train)
     model = initial_model(train.n_attributes, eta=eta)

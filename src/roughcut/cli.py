@@ -35,7 +35,6 @@ class RunConfig:
     num_cuts: int
     aco: AcoParams
     output_dir: Path
-    workers: int
     clip: bool
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class RunConfig:
             raise ValueError(f"profile file not found: {self.profile_path}")
         if self.discretizer not in ("efb", "aco", "both"):
             raise ValueError(f"unknown discretizer {self.discretizer!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
 
 
 def _load_table(config: RunConfig) -> DecisionTable:
@@ -78,7 +75,7 @@ def _train_arm(
         def progress(stats):
             print(f"iteration {stats.iteration}: best_cost={stats.best_cost:.6f}", file=sys.stderr)
 
-        best, history = optimize(train, config.aco, workers=config.workers, progress=progress)
+        best, history = optimize(train, config.aco, progress=progress)
         cuts = best.cuts
     cut_time = perf_counter() - t0
     report = evaluate_pipeline(train, test, cuts, cut_time_s=cut_time)
@@ -213,12 +210,13 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ants", type=int, default=10, help="ACO: number of ants (default 10)")
     parser.add_argument("--iters", type=int, default=100, help="ACO: iterations (default 100)")
     parser.add_argument("--alpha", type=float, default=0.09, help="ACO: pheromone exponent (default 0.09)")
-    parser.add_argument("--beta", type=float, default=0.09, help="ACO: attractiveness exponent (default 0.09)")
     parser.add_argument("--rho", type=float, default=0.9, help="ACO: evaporation constant (default 0.9)")
     parser.add_argument("--q", type=float, default=1.0, help="ACO: deposit constant (default 1.0)")
 
 
 def _config_from_args(args, discretizer: str) -> RunConfig:
+    if args.workers < 1:
+        raise ValueError("--workers must be positive")
     return RunConfig(
         data_path=args.data,
         synth_n=args.synth_n,
@@ -230,14 +228,12 @@ def _config_from_args(args, discretizer: str) -> RunConfig:
             num_ants=args.ants,
             num_iterations=args.iters,
             alpha=args.alpha,
-            beta=args.beta,
             rho=args.rho,
             q_deposit=args.q,
             num_cuts=args.cuts,
             seed=args.seed,
         ),
         output_dir=args.out,
-        workers=args.workers,
         clip=args.clip_outliers,
     )
 

@@ -155,7 +155,7 @@ def evaluate_pipeline(
         matrix=matrix,
         accuracy=accuracy(matrix),
         auc=auc(curve),
-        num_rules=len(rules.rules),
+        num_rules=rules.decisions.size,
         num_certain_rules=rules.n_certain,
         train_time_s=train_time,
         test_time_s=test_time,

@@ -7,7 +7,7 @@ every attribute considered; each equivalence class becomes one if-then rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,7 +52,7 @@ class Approximation:
 
 @dataclass(frozen=True)
 class Rule:
-    """One if-then rule: a full condition bin vector implying a decision.
+    """Read-only view of one rule: a full condition bin vector implying a decision.
 
     ``confidence`` is the rough membership of the decision within the rule's
     equivalence class; ``certain`` rules come from the lower approximation
@@ -66,48 +66,71 @@ class Rule:
     certain: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RuleSet:
-    """All rules induced from a training table plus a majority-class fallback."""
+    """All rules induced from a training table plus a majority-class fallback.
 
-    rules: tuple[Rule, ...]
+    Rule i is row i of the table: bin ``conditions[i, a]`` on attribute a
+    implies ``decisions[i]``, with ``supports[i]`` training objects and
+    confidence ``confidences[i]``. No two rules share a condition row.
+    """
+
+    conditions: np.ndarray
+    decisions: np.ndarray
+    supports: np.ndarray
+    confidences: np.ndarray
     default_decision: int
     attribute_bin_counts: tuple[int, ...]
-    # Rule condition keys in sorted order, and the position in ``rules`` of each.
-    _keys: np.ndarray = field(init=False, repr=False, compare=False)
-    _positions: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False)
+    _positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n_attrs = len(self.attribute_bin_counts)
-        conditions = np.array(
-            [[rule.conditions[a] for a in range(n_attrs)] for rule in self.rules], dtype=np.int64
-        ).reshape(len(self.rules), n_attrs)
-        keys, first, _ = _group_rows(conditions)
-        if first.size < len(self.rules):
+        for name, dtype in (("conditions", np.int64), ("decisions", np.int64),
+                            ("supports", np.int64), ("confidences", np.float64)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        per_rule = (self.decisions.size,)
+        if self.conditions.shape != per_rule + (len(self.attribute_bin_counts),) or any(
+                a.shape != per_rule for a in (self.decisions, self.supports, self.confidences)):
+            raise ValueError("expected one condition row, decision, support and confidence per rule")
+        _check_bins(self.conditions, self.attribute_bin_counts, "rule")
+        # Sorted distinct keys and, for each, the rule holding it.
+        keys, positions = np.unique(_row_keys(self.conditions), return_index=True)
+        if keys.size < self.decisions.size:
             raise ValueError("duplicate rule conditions")
-        positions = np.argsort(keys)
-        object.__setattr__(self, "_keys", keys[positions])
+        object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_positions", positions)
 
     @property
+    def rules(self) -> tuple[Rule, ...]:
+        """One Rule view per row of the rule table, built on each access."""
+        return tuple(map(self._rule, range(self.decisions.size)))
+
+    @property
     def n_certain(self) -> int:
-        return sum(1 for r in self.rules if r.certain)
+        return int((self.confidences == 1.0).sum())
+
+    def _rule(self, at: int) -> Rule:
+        confidence = float(self.confidences[at])
+        return Rule(dict(enumerate(self.conditions[at].tolist())), int(self.decisions[at]),
+                    int(self.supports[at]), confidence, confidence == 1.0)
 
     def match(self, bins: np.ndarray) -> np.ndarray:
-        """Position in ``rules`` of the rule matching each row of a bin matrix, or -1."""
+        """Position of the rule matching each row of a bin matrix, or -1."""
         bins = np.asarray(bins, dtype=np.int64)
         n_attrs = len(self.attribute_bin_counts)
         if bins.ndim != 2 or bins.shape[1] != n_attrs:
             raise ValueError(f"expected {n_attrs} bins per object, got shape {bins.shape}")
         keys = _row_keys(bins)
-        if not self.rules:
+        if not self._keys.size:
             return np.full(keys.size, -1, dtype=np.int64)
         at = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
         return np.where(self._keys[at] == keys, self._positions[at], -1)
 
     def lookup(self, key: tuple[int, ...]) -> Rule | None:
         at = int(self.match([key])[0])
-        return None if at < 0 else self.rules[at]
+        return None if at < 0 else self._rule(at)
 
 
 def _row_keys(bins: np.ndarray) -> np.ndarray:
@@ -121,20 +144,25 @@ def _row_keys(bins: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
-def _group_rows(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_bins(bins: np.ndarray, counts: tuple[int, ...], row_name: str) -> None:
+    """Raise ValueError naming the first row and attribute with a bin outside [0, count)."""
+    bad = (bins < 0) | (bins >= np.asarray(counts, dtype=np.int64))
+    if bad.any():
+        row, attr = (int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{row_name} {row}: bin index out of range for attribute {attr} ({counts[attr]} bins)")
+
+
+def _group_rows(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of a bin matrix by exact equality.
 
-    Cells are numbered by first appearance. Returns ``(keys, first, cell_of)``:
-    cell c has row key ``keys[c]`` and first row ``first[c]``, and row r lies
-    in cell ``cell_of[r]``.
+    Cells are numbered by first appearance. Returns ``(first, cell_of)``:
+    cell c has first row ``first[c]``, and row r lies in cell ``cell_of[r]``.
     """
-    keys = _row_keys(bins)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(_row_keys(bins), return_index=True, return_inverse=True)
     order = np.argsort(first)
     renumber = np.empty_like(order)
     renumber[order] = np.arange(order.size)
-    first = first[order]
-    return keys[first], first, renumber[inverse.ravel()]
+    return first[order], renumber[inverse.ravel()]
 
 
 def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
@@ -144,7 +172,7 @@ def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
         raise ValueError("attribute subset must be non-empty")
     if attrs[0] < 0 or attrs[-1] >= table.n_attributes:
         raise ValueError("attribute index out of range")
-    _, _, class_of = _group_rows(table.bins[:, attrs])
+    _, class_of = _group_rows(table.bins[:, attrs])
     members = np.argsort(class_of, kind="stable")
     bounds = np.cumsum(np.bincount(class_of))
     classes = tuple(frozenset(m.tolist()) for m in np.split(members, bounds)[:-1])
@@ -196,41 +224,24 @@ def induce_rules(table: DiscretizedTable) -> RuleSet:
         raise ValueError("training table must contain both decision classes")
     prior_winner = 1 if total_ones >= total_zeros else 0
 
-    _, first, cell_of = _group_rows(table.bins)
+    first, cell_of = _group_rows(table.bins)
     sizes = np.bincount(cell_of)
     ones = np.bincount(cell_of[table.decisions == 1], minlength=sizes.size)
     zeros = sizes - ones
     decisions = np.where(ones > zeros, 1, np.where(zeros > ones, 0, prior_winner))
     confidences = np.where(decisions == 1, ones, zeros) / sizes
-    rules = tuple(
-        Rule(
-            conditions=dict(enumerate(key)),
-            decision=decision,
-            support=size,
-            confidence=confidence,
-            certain=confidence == 1.0,
-        )
-        for key, decision, size, confidence in zip(
-            table.bins[first].tolist(), decisions.tolist(), sizes.tolist(), confidences.tolist()
-        )
-    )
-    return RuleSet(rules, prior_winner, table.attribute_bin_counts)
+    return RuleSet(table.bins[first], decisions, sizes, confidences, prior_winner,
+                   table.attribute_bin_counts)
 
 
 def _predict(rules: RuleSet, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decisions and class-1 scores for each row of a bin matrix."""
     at = rules.match(bins)
-    counts = rules.attribute_bin_counts
-    bad = (bins < 0) | (bins >= np.asarray(counts))
-    if bad.any():
-        attr = int(np.nonzero(bad)[1][0])
-        raise ValueError(f"bin index out of range for attribute {attr} ({counts[attr]} bins)")
+    _check_bins(bins, rules.attribute_bin_counts, "object")
     # Position -1, no matching rule, picks the fallback appended last.
-    decisions = np.array([r.decision for r in rules.rules] + [rules.default_decision], dtype=np.int64)
-    scores = np.array(
-        [r.confidence if r.decision == 1 else 1.0 - r.confidence for r in rules.rules] + [0.5]
-    )
-    return decisions[at], scores[at]
+    decisions = np.append(rules.decisions, rules.default_decision)
+    scores = np.where(rules.decisions == 1, rules.confidences, 1.0 - rules.confidences)
+    return decisions[at], np.append(scores, 0.5)[at]
 
 
 def classify(rules: RuleSet, bins: Sequence[int]) -> tuple[int, float]:
@@ -253,13 +264,7 @@ def ruleset_to_json(rules: RuleSet) -> dict:
     """Serialize rules as the transparency artifact: one entry per rule."""
     return {
         "rules": [
-            {
-                "conditions": {str(a): b for a, b in sorted(rule.conditions.items())},
-                "decision": rule.decision,
-                "support": rule.support,
-                "confidence": rule.confidence,
-                "certain": rule.certain,
-            }
+            {**asdict(rule), "conditions": {str(a): b for a, b in rule.conditions.items()}}
             for rule in rules.rules
         ],
         "default_decision": rules.default_decision,
@@ -268,18 +273,17 @@ def ruleset_to_json(rules: RuleSet) -> dict:
 
 
 def ruleset_from_json(payload: dict) -> RuleSet:
-    rules = tuple(
-        Rule(
-            conditions={int(a): int(b) for a, b in entry["conditions"].items()},
-            decision=int(entry["decision"]),
-            support=int(entry["support"]),
-            confidence=float(entry["confidence"]),
-            certain=bool(entry["certain"]),
-        )
-        for entry in payload["rules"]
-    )
-    return RuleSet(
-        rules,
-        int(payload["default_decision"]),
-        tuple(int(c) for c in payload["attribute_bin_counts"]),
-    )
+    """Rebuild the rules of ``ruleset_to_json``; a malformed rule raises ValueError."""
+    counts = tuple(int(c) for c in payload["attribute_bin_counts"])
+    entries = payload["rules"]
+    conditions = []
+    for i, entry in enumerate(entries):
+        bins = {int(a): int(b) for a, b in entry["conditions"].items()}
+        if sorted(bins) != list(range(len(counts))):
+            raise ValueError(f"rule {i}: conditions must name attributes 0..{len(counts) - 1} once each")
+        if bool(entry["certain"]) != (float(entry["confidence"]) == 1.0):
+            raise ValueError(f"rule {i}: certain flag disagrees with confidence {entry['confidence']}")
+        conditions.append([bins[a] for a in range(len(counts))])
+    columns = ([entry[key] for entry in entries] for key in ("decision", "support", "confidence"))
+    return RuleSet(np.array(conditions, dtype=np.int64).reshape(len(entries), len(counts)),
+                   *columns, int(payload["default_decision"]), counts)

@@ -304,24 +304,6 @@ def test_optimize_is_deterministic():
     assert history_a == history_b
 
 
-def test_optimize_worker_count_does_not_change_results():
-    rng = np.random.default_rng(516)
-    table = random_train_table(rng, n=60, m=2)
-    params = AcoParams(num_ants=5, num_iterations=4, seed=8)
-    best_serial, history_serial = optimize(table, params, workers=1)
-    best_parallel, history_parallel = optimize(table, params, workers=4)
-    assert best_serial.percentiles == best_parallel.percentiles
-    assert best_serial.cost == best_parallel.cost
-    assert history_serial == history_parallel
-
-
-def test_optimize_rejects_nonpositive_workers():
-    table = random_train_table(np.random.default_rng(516), n=60, m=2)
-    for workers in (0, -1):
-        with pytest.raises(ValueError, match="workers"):
-            optimize(table, AcoParams(num_ants=1, num_iterations=1), workers=workers)
-
-
 def test_optimize_history_contract():
     rng = np.random.default_rng(517)
     table = random_train_table(rng, n=60, m=2)

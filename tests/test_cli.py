@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from roughcut import GAS_NAMES, load_csv
+from roughcut import (
+    GAS_NAMES, SplitSpec, accuracy, apply_cuts, auc, classify_table, confusion, cuts_from_json,
+    default_profile, generate, load_csv, roc, ruleset_from_json, split,
+)
 from roughcut.cli import main
 
 TIMING_KEYS = ("train_time_s", "test_time_s")
@@ -114,6 +117,30 @@ def test_run_worker_count_does_not_change_outputs(tmp_path):
     report_parallel = json.loads((out_parallel / "report.json").read_text())
     assert without_timings(report_serial) == without_timings(report_parallel)
     assert (out_serial / "cuts.json").read_bytes() == (out_parallel / "cuts.json").read_bytes()
+
+
+def test_run_rejects_nonpositive_workers(tmp_path, capsys):
+    out = tmp_path / "run"
+    for workers in ("0", "-1"):
+        assert main(run_args(out, extra=["--workers", workers])) == 1
+        assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("discretizer", ["efb", "aco"])
+def test_run_outputs_reload_and_reproduce_the_report(tmp_path, discretizer):
+    out = tmp_path / discretizer
+    assert main(run_args(out, discretizer=discretizer, n=400, seed=5,
+                         extra=["--iters", "3", "--ants", "3"])) == 0
+    report = json.loads((out / "report.json").read_text())
+    rules = ruleset_from_json(json.loads((out / "rules.json").read_text()))
+    _, test = split(generate(default_profile(), 400, 5), SplitSpec(train_fraction=0.7, seed=5))
+    cuts = cuts_from_json(json.loads((out / "cuts.json").read_text()), test.attribute_names)
+    predictions, scores = classify_table(rules, apply_cuts(test, cuts))
+    matrix = confusion(predictions, test.decisions)
+    assert report["confusion"] == {"tp": matrix.tp, "tn": matrix.tn, "fp": matrix.fp, "fn": matrix.fn}
+    assert report["accuracy"] == accuracy(matrix)
+    assert report["auc"] == auc(roc(scores, test.decisions))
 
 
 def test_run_aco_default_iteration_count(tmp_path):

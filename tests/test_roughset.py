@@ -14,7 +14,6 @@ from hypothesis.extra import numpy as hnp
 
 from roughcut import (
     DiscretizedTable,
-    Rule,
     RuleSet,
     approximate,
     classify,
@@ -316,10 +315,39 @@ def test_classify_table_rejects_out_of_range_bins():
 
 
 def test_ruleset_rejects_duplicate_conditions():
-    rule = Rule(conditions={0: 1}, decision=1, support=2, confidence=1.0, certain=True)
-    dup = Rule(conditions={0: 1}, decision=0, support=1, confidence=1.0, certain=True)
+    # rule {0: 1} -> 1 (support 2) and its duplicate {0: 1} -> 0 (support 1), both certain
     with pytest.raises(ValueError, match="duplicate"):
-        RuleSet((rule, dup), 1, (3,))
+        RuleSet([[1], [1]], [1, 0], [2, 1], [1.0, 1.0], 1, (3,))
+
+
+def test_ruleset_rejects_mismatched_arrays():
+    with pytest.raises(ValueError, match="one condition row"):
+        RuleSet([[1], [2]], [1], [2, 1], [1.0, 1.0], 1, (3,))
+    with pytest.raises(ValueError, match="one condition row"):
+        RuleSet([[1, 0]], [1], [2], [1.0], 1, (3,))
+
+
+def test_ruleset_from_json_rejects_malformed_rules():
+    def payload(**changes):
+        second = {"conditions": {"0": 2, "1": 0}, "decision": 0, "support": 3,
+                  "confidence": 1.0, "certain": True}
+        second.update(changes)
+        first = {"conditions": {"0": 0, "1": 1}, "decision": 1, "support": 4,
+                 "confidence": 0.75, "certain": False}
+        return {"rules": [first, second], "default_decision": 1, "attribute_bin_counts": [3, 2]}
+
+    assert ruleset_from_json(payload()).lookup((2, 0)).support == 3
+    cases = [
+        ({"conditions": {"0": 2}}, "rule 1: conditions"),
+        ({"conditions": {"0": 2, "1": 0, "2": 0}}, "rule 1: conditions"),
+        ({"conditions": {"0": 3, "1": 0}}, "rule 1: bin index out of range for attribute 0"),
+        ({"conditions": {"0": 2, "1": -1}}, "rule 1: bin index out of range for attribute 1"),
+        ({"certain": False}, "rule 1: certain"),
+        ({"confidence": 0.5}, "rule 1: certain"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ruleset_from_json(payload(**changes))
 
 
 def test_ruleset_json_roundtrip():
