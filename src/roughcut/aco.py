@@ -4,6 +4,9 @@ Each ant picks, per attribute, an ascending set of percentile positions in
 [1, 99]; the realized cuts feed a rough-set classifier whose validation
 error is the solution cost. Pheromone on (attribute, position) pairs decays
 every iteration and is reinforced in proportion to 1/cost.
+
+``optimize`` costs all ants of an iteration in one pass over grid ranks
+(``_RankedSplit``); ``evaluate_solution`` is the same cost for one ant.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ TAU_FLOOR = 1e-6
 ETA_FLOOR = 1e-6
 COST_FLOOR = 1e-3  # deposit uses max(cost, COST_FLOOR) so 1/cost stays finite
 FIT_FRACTION = 0.8  # share of the training set used to fit rules; rest validates
+KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,24 @@ def purity_eta(table: DecisionTable, grid: PercentileGrid | None = None) -> np.n
     return eta
 
 
+def _probabilities(weights: np.ndarray) -> np.ndarray:
+    total = weights.sum()
+    if total <= 0 or not np.isfinite(total):
+        raise ValueError("selection weights must have a positive finite sum")
+    return weights / total
+
+
+def _choice_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative distribution that ``Generator.choice(p=probs)`` draws from.
+
+    Index ``cdf.searchsorted(u, side="right")`` for ``u = rng.random()`` is
+    the index ``choice`` returns, bit for bit, from the same RNG stream.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def selection_probabilities(
     tau_row: np.ndarray,
     eta_row: np.ndarray,
@@ -172,10 +194,7 @@ def selection_probabilities(
     if positions[0] < 1 or positions[-1] > N_POSITIONS:
         raise ValueError(f"positions must lie in [1, {N_POSITIONS}]")
     weights = np.asarray(tau_row)[positions - 1] ** alpha * np.asarray(eta_row)[positions - 1] ** beta
-    total = weights.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise ValueError("selection weights must have a positive finite sum")
-    return positions, weights / total
+    return positions, _probabilities(weights)
 
 
 def select_next(
@@ -188,7 +207,7 @@ def select_next(
 ) -> int:
     """Sample one position according to the pheromone/attractiveness rule."""
     positions, probs = selection_probabilities(tau_row, eta_row, feasible, alpha, beta)
-    return int(rng.choice(positions, p=probs))
+    return int(positions[_choice_cdf(probs).searchsorted(rng.random(), side="right")])
 
 
 def construct_solution(
@@ -203,23 +222,40 @@ def construct_solution(
     room for the cuts still to come, so construction can never strand.
     Percentile values falling on an attribute's min/max, or duplicating an
     earlier cut (ties in the data), are dropped from the realized CutSet.
+    Each pick draws like ``select_next`` on the feasible positions.
     """
     if model.n_attributes != grid.n_attributes:
         raise ValueError("pheromone model does not match the candidate grid")
+    weights = model.tau ** params.alpha * model.eta ** params.beta
+    return _construct(weights, params, grid, rng, {})
+
+
+def _construct(
+    weights: np.ndarray,
+    params: AcoParams,
+    grid: PercentileGrid,
+    rng: np.random.Generator,
+    cdfs: dict[tuple[int, int, int], np.ndarray],
+) -> AntSolution:
+    """``construct_solution`` from precomputed tau^alpha * eta^beta.
+
+    ``cdfs`` caches the distribution of each (attribute, previous pick,
+    upper bound); it is only valid for one ``weights`` matrix.
+    """
     k = params.num_cuts
+    draws = iter(rng.random(grid.n_attributes * k).tolist())
     all_percentiles = []
     all_cuts = []
-    for a in range(model.n_attributes):
+    for a in range(grid.n_attributes):
         chosen = []
         prev = 0
         for c in range(k):
             upper = N_POSITIONS - (k - c - 1)
-            pos = select_next(
-                model.tau[a], model.eta[a], range(prev + 1, upper + 1),
-                params.alpha, params.beta, rng,
-            )
-            chosen.append(pos)
-            prev = pos
+            cdf = cdfs.get((a, prev, upper))
+            if cdf is None:
+                cdf = cdfs[a, prev, upper] = _choice_cdf(_probabilities(weights[a, prev:upper]))
+            prev += 1 + int(cdf.searchsorted(next(draws), side="right"))
+            chosen.append(prev)
         all_percentiles.append(tuple(chosen))
         raw = [float(grid.values[a, p - 1]) for p in chosen]
         all_cuts.append(interior_cuts(raw, float(grid.minima[a]), float(grid.maxima[a])))
@@ -233,6 +269,67 @@ def evaluate_solution(
     rules = induce_rules(apply_cuts(train, solution.cuts))
     predictions, _ = classify_table(rules, apply_cuts(validation, solution.cuts))
     return float((predictions != validation.decisions).mean())
+
+
+class _RankedSplit:
+    """Fit and validation objects ranked once against a percentile grid.
+
+    Every realized cut is a grid value, so with ``rank`` the number of grid
+    values <= an object's value, the object's bin under an ant's cuts is the
+    number of the ant's kept percentiles p with ``rank >= p``. A percentile
+    is kept when ``interior_cuts`` keeps its value: strictly inside the
+    attribute's (min, max) and above the previous pick's value.
+    """
+
+    def __init__(self, grid: PercentileGrid, fit: DecisionTable, validation: DecisionTable):
+        values = np.concatenate([fit.values, validation.values])
+        self.grid = grid
+        # (n_attributes, fit rows then validation rows)
+        self.ranks = np.stack([
+            np.searchsorted(grid.values[a], values[:, a], side="right")
+            for a in range(grid.n_attributes)
+        ])
+        self.n_fit = fit.n_objects
+        self.fit_ones = fit.decisions == 1
+        self.validation_decisions = validation.decisions
+        ones = int(fit.decisions.sum())
+        self.prior = 1 if ones >= fit.n_objects - ones else 0
+
+    def costs(self, percentiles: np.ndarray) -> np.ndarray:
+        """``evaluate_solution`` of every ant in one pass.
+
+        ``percentiles`` is (ants, n_attributes, num_cuts). Rows are grouped by
+        a mixed-radix cell key that leads with the ant index; only keys that
+        occur are numbered, so no table spans the whole key space. Each cell
+        takes the fit majority, ties and cells without fit rows going to the
+        fit prior as in ``induce_rules``.
+        """
+        n_ants, n_attributes, k = percentiles.shape
+        values = self.grid.values[np.arange(n_attributes)[:, None], percentiles - 1]
+        kept = (values > self.grid.minima[:, None]) & (values < self.grid.maxima[:, None])
+        kept[..., 1:] &= values[..., 1:] > values[..., :-1]
+        thresholds = np.where(kept, percentiles, N_POSITIONS + 1)[..., None]  # no rank reaches 100
+
+        n_rows = self.ranks.shape[1]
+        keys = np.repeat(np.arange(n_ants, dtype=np.int64), n_rows)
+        radix = n_ants
+        for a in range(n_attributes):
+            if radix * (k + 1) > KEY_LIMIT:
+                _, keys = np.unique(keys, return_inverse=True)
+                radix = int(keys.max()) + 1
+            bins = (self.ranks[a] >= thresholds[:, a]).sum(axis=1)
+            keys = keys * (k + 1) + bins.ravel()
+            radix *= k + 1
+        distinct, cells = np.unique(keys, return_inverse=True)
+        cells = cells.reshape(n_ants, n_rows)
+
+        fit_cells = cells[:, :self.n_fit]
+        sizes = np.bincount(fit_cells.ravel(), minlength=distinct.size)
+        ones = np.bincount(fit_cells[:, self.fit_ones].ravel(), minlength=distinct.size)
+        zeros = sizes - ones
+        decisions = np.where(ones > zeros, 1, np.where(zeros > ones, 0, self.prior))
+        wrong = (decisions[cells[:, self.n_fit:]] != self.validation_decisions).sum(axis=1)
+        return wrong / self.validation_decisions.size
 
 
 def update_pheromones(
@@ -266,27 +363,35 @@ def optimize(
     stream keyed by (seed, iteration, ant index), so a fixed seed gives a
     fixed search.
     """
-    fit, validation = split(train, SplitSpec(train_fraction=FIT_FRACTION, seed=params.seed))
+    try:
+        fit, validation = split(train, SplitSpec(train_fraction=FIT_FRACTION, seed=params.seed))
+    except ValueError as exc:
+        zeros, ones = train.class_counts()
+        raise ValueError(
+            f"the ACO fit/validation split (FIT_FRACTION = {FIT_FRACTION}) of a training table "
+            f"with {zeros} objects of class 0 and {ones} of class 1 cannot hold both classes "
+            f"in both parts"
+        ) from exc
     grid = PercentileGrid.from_table(train)
     model = initial_model(train.n_attributes, eta=eta)
+    ranked = _RankedSplit(grid, fit, validation)
 
     best: AntSolution | None = None
     history: list[IterationStats] = []
     for iteration in range(params.num_iterations):
-        solutions = []
-        for ant in range(params.num_ants):
-            rng = np.random.default_rng((params.seed, iteration, ant))
-            solution = construct_solution(model, params, grid, rng)
-            solution.cost = evaluate_solution(solution, fit, validation)
-            solutions.append(solution)
-            if best is None or solution.cost < best.cost:  # ties keep the earliest discovery
+        weights = model.tau ** params.alpha * model.eta ** params.beta
+        cdfs: dict[tuple[int, int, int], np.ndarray] = {}
+        solutions = [
+            _construct(weights, params, grid, np.random.default_rng((params.seed, iteration, ant)), cdfs)
+            for ant in range(params.num_ants)
+        ]
+        costs = ranked.costs(np.array([s.percentiles for s in solutions], dtype=np.int64))
+        for solution, cost in zip(solutions, costs.tolist()):
+            solution.cost = cost
+            if best is None or cost < best.cost:  # ties keep the earliest discovery
                 best = solution
         model = update_pheromones(model, solutions, params)
-        stats = IterationStats(
-            iteration=iteration,
-            best_cost=best.cost,
-            mean_cost=float(np.mean([s.cost for s in solutions])),
-        )
+        stats = IterationStats(iteration=iteration, best_cost=best.cost, mean_cost=float(costs.mean()))
         history.append(stats)
         if progress is not None:
             progress(stats)

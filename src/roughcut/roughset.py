@@ -95,6 +95,16 @@ class RuleSet:
                 a.shape != per_rule for a in (self.decisions, self.supports, self.confidences)):
             raise ValueError("expected one condition row, decision, support and confidence per rule")
         _check_bins(self.conditions, self.attribute_bin_counts, "rule")
+        for name, values, allowed, ok in (
+                ("decision", self.decisions, "in {0, 1}", np.isin(self.decisions, (0, 1))),
+                ("support", self.supports, ">= 1", self.supports >= 1),
+                ("confidence", self.confidences, "in [0, 1]",
+                 (self.confidences >= 0) & (self.confidences <= 1))):
+            if not ok.all():
+                at = int(np.argmin(ok))
+                raise ValueError(f"rule {at}: {name} {values[at]} is not {allowed}")
+        if self.default_decision not in (0, 1):
+            raise ValueError(f"default_decision must be 0 or 1, got {self.default_decision!r}")
         # Sorted distinct keys and, for each, the rule holding it.
         keys, positions = np.unique(_row_keys(self.conditions), return_index=True)
         if keys.size < self.decisions.size:

@@ -1,8 +1,12 @@
-"""Ant colony search: selection rule, solution construction, pheromone
-updates, and the optimize loop's determinism and convergence bookkeeping."""
+"""Ant colony search: selection rule, solution construction, the batched
+cost pass against the per-ant cost, pheromone updates, and the optimize
+loop's determinism and convergence bookkeeping."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import chisquare
 
 from roughcut import (
@@ -22,7 +26,8 @@ from roughcut import (
     update_pheromones,
     write_history_csv,
 )
-from roughcut.aco import COST_FLOOR, N_POSITIONS, TAU_FLOOR
+from roughcut.aco import COST_FLOOR, KEY_LIMIT, N_POSITIONS, TAU_FLOOR, _construct, _RankedSplit
+from roughcut.discretize import interior_cuts
 
 
 def make_table(values, decisions):
@@ -212,6 +217,137 @@ def test_evaluate_solution_matches_straight_line_oracle():
         assert got == pytest.approx(oracle_error(train, validation, cuts))
 
 
+def test_construct_solution_draws_like_rng_choice():
+    rng = np.random.default_rng(521)
+    table = random_train_table(rng, n=80, m=3)
+    grid = PercentileGrid.from_table(table)
+    model = PheromoneModel(rng.uniform(0.05, 20.0, (3, N_POSITIONS)),
+                           rng.uniform(0.05, 20.0, (3, N_POSITIONS)))
+    params = AcoParams(num_cuts=3, alpha=1.3, beta=0.7)
+
+    def reference(gen):
+        picks = []
+        for a in range(3):
+            chosen, prev = [], 0
+            for c in range(params.num_cuts):
+                positions = np.arange(prev + 1, N_POSITIONS - (params.num_cuts - c - 1) + 1)
+                weights = (model.tau[a, positions - 1] ** params.alpha
+                           * model.eta[a, positions - 1] ** params.beta)
+                prev = int(gen.choice(positions, p=weights / weights.sum()))
+                chosen.append(prev)
+            picks.append(tuple(chosen))
+        return tuple(picks)
+
+    ours, theirs = np.random.default_rng(522), np.random.default_rng(522)
+    for _ in range(200):
+        assert construct_solution(model, params, grid, ours).percentiles == reference(theirs)
+        assert ours.random() == theirs.random()
+    # optimize's path: one weight matrix and one distribution cache shared by the ants
+    weights = model.tau ** params.alpha * model.eta ** params.beta
+    cdfs = {}
+    for ant in range(100):
+        got = _construct(weights, params, grid, np.random.default_rng((7, 0, ant)), cdfs)
+        assert got.percentiles == reference(np.random.default_rng((7, 0, ant)))
+    ours, theirs = np.random.default_rng(523), np.random.default_rng(523)
+    for feasible in ([5, 9], range(1, 100), range(40, 41), range(17, 60)):
+        positions, probs = selection_probabilities(model.tau[0], model.eta[0], feasible, 1.3, 0.7)
+        assert select_next(model.tau[0], model.eta[0], feasible, 1.3, 0.7, ours) == \
+            theirs.choice(positions, p=probs)
+
+
+def realize(grid, picks):
+    """The ant that picked these percentiles: cuts as interior_cuts keeps them."""
+    cuts = tuple(
+        interior_cuts([float(grid.values[a, p - 1]) for p in ps],
+                      float(grid.minima[a]), float(grid.maxima[a]))
+        for a, ps in enumerate(picks)
+    )
+    return AntSolution(tuple(map(tuple, picks)), CutSet(cuts))
+
+
+def assert_batched_costs_match(fit, validation, picks):
+    train = DecisionTable(fit.attribute_names, np.concatenate([fit.values, validation.values]),
+                          np.concatenate([fit.decisions, validation.decisions]))
+    grid = PercentileGrid.from_table(train)
+    costs = _RankedSplit(grid, fit, validation).costs(np.asarray(picks, dtype=np.int64))
+    expected = [evaluate_solution(realize(grid, p), fit, validation) for p in picks]
+    assert costs.tolist() == expected
+    return expected
+
+
+def edge_case():
+    """Hand-checked ants on a constant attribute a0 and a tied attribute a1.
+
+    a1's grid: p1-p25 -> 0 (the minimum), p26-p58 -> 1, p59-p83 -> 2,
+    p84-p91 -> 3, p92-p99 -> 4 (the maximum). The fit part has 4 objects of
+    each class, so its prior is 1.
+    """
+    fit = make_table(np.column_stack([np.full(8, 3.0), [0, 0, 1, 1, 1, 2, 2, 2]]),
+                     [0, 1, 0, 0, 0, 1, 1, 1])
+    validation = make_table(np.column_stack([np.full(4, 3.0), [0, 1, 3, 4]]), [0, 0, 0, 1])
+    picks = [
+        ((10, 20), (1, 99)),   # cuts on min and max: one cell, a 4/4 tie -> prior 1
+        ((10, 20), (30, 50)),  # tied percentile values: one cut at 1, both cells tie
+        ((10, 20), (60, 90)),  # cuts 2 and 3: validation 3 and 4 share a cell with no fit row
+        ((10, 20), (25, 26)),  # first pick on the minimum, second kept: as the second ant
+    ]
+    return fit, validation, picks
+
+
+def test_batched_costs_on_hand_checked_edge_cases():
+    assert assert_batched_costs_match(*edge_case()) == [0.75, 0.75, 0.25, 0.75]
+
+
+@st.composite
+def colony_cases(draw):
+    """Fit and validation tables on few distinct values, and ascending picks per ant."""
+    n_attributes = draw(st.integers(1, 3))
+    n_fit, n_validation = draw(st.integers(2, 30)), draw(st.integers(1, 15))
+    values = draw(hnp.arrays(np.float64, (n_fit + n_validation, n_attributes),
+                             elements=st.integers(0, 4).map(float)))
+    constant = draw(st.integers(-1, n_attributes - 1))
+    if constant >= 0:
+        values[:, constant] = 2.0
+    decisions = draw(hnp.arrays(np.int64, n_fit + n_validation, elements=st.integers(0, 1)))
+    decisions[:2] = (0, 1)  # the fit part holds both classes
+    num_cuts = draw(st.integers(1, 3))
+    one_pick = st.lists(st.integers(1, N_POSITIONS), min_size=num_cuts, max_size=num_cuts,
+                        unique=True).map(sorted)
+    picks = draw(st.lists(st.lists(one_pick, min_size=n_attributes, max_size=n_attributes),
+                          min_size=1, max_size=5))
+    fit = make_table(values[:n_fit], decisions[:n_fit])
+    return fit, make_table(values[n_fit:], decisions[n_fit:]), picks
+
+
+@settings(deadline=None)
+@given(case=colony_cases())
+@example(case=edge_case())
+def test_batched_costs_match_evaluate_solution(case):
+    assert_batched_costs_match(*case)
+
+
+def test_batched_costs_renumber_wide_keys():
+    # 15 attributes x up to 32 bins: an unrenumbered key would need 4 * 2**75
+    # values, and int64 arithmetic would drop the leading ant digit
+    rng = np.random.default_rng(524)
+    distinct = rng.choice([0.0, 1.0, 2.0, 3.0], p=[0.6, 0.1, 0.15, 0.15], size=(40, 15))
+    labels = (distinct[:, 0] >= 2).astype(np.int64)
+    rows = np.arange(200) % 40
+    decisions = np.where(rng.random(200) < 0.2, 1 - labels[rows], labels[rows])
+    fit = make_table(distinct[rows[:160]], decisions[:160])
+    validation = make_table(distinct[rows[160:]], decisions[160:])
+    num_cuts = 31
+    # each ant cuts about two attributes; its other picks all land on the minimum
+    picks = [
+        [np.sort(rng.choice(np.arange(1, 100 if rng.random() < 0.15 else 41), num_cuts,
+                            replace=False)).tolist() for _ in range(15)]
+        for _ in range(4)
+    ]
+    assert 4 * (num_cuts + 1) ** 15 > KEY_LIMIT
+    costs = assert_batched_costs_match(fit, validation, picks)
+    assert len(set(costs)) > 1
+
+
 def test_update_pheromones_evaporation_only():
     model = initial_model(1)
     updated = update_pheromones(model, [], AcoParams(rho=0.9))
@@ -302,6 +438,15 @@ def test_optimize_is_deterministic():
     assert best_a.percentiles == best_b.percentiles
     assert best_a.cost == best_b.cost
     assert history_a == history_b
+
+
+def test_optimize_names_its_fit_validation_split_when_a_class_is_too_small():
+    values = np.arange(30, dtype=float)
+    decisions = np.zeros(30, dtype=np.int64)
+    decisions[7] = 1
+    with pytest.raises(ValueError, match=r"ACO fit/validation split \(FIT_FRACTION = 0\.8\).*"
+                                         r"29 objects of class 0 and 1 of class 1 cannot hold both"):
+        optimize(make_table(values, decisions), AcoParams(num_ants=2, num_iterations=1))
 
 
 def test_optimize_history_contract():

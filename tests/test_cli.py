@@ -175,6 +175,23 @@ def test_run_missing_data_file_fails_cleanly(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_run_aco_reports_a_fit_split_without_both_classes(tmp_path, capsys):
+    # two faulty objects: the train/test split puts one on each side, so
+    # the ACO's own fit/validation split of the training part cannot
+    # give both of its parts a faulty object
+    csv_path = tmp_path / "data.csv"
+    labels = [1, 1] + [0] * 18
+    rows = [f"{i},{2 * i},{label}" for i, label in enumerate(labels)]
+    csv_path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "run"
+    args = ["run", "--discretizer", "aco", "--data", str(csv_path), "--iters", "2", "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ACO fit/validation split (FIT_FRACTION = 0.8)")
+    assert "13 objects of class 0 and 1 of class 1 cannot hold both classes" in err
+    assert not (out / "report.json").exists()
+
+
 def test_run_rejects_bad_train_fraction(tmp_path, capsys):
     out = tmp_path / "run"
     args = run_args(out, extra=["--train-frac", "1.5"])

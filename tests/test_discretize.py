@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from roughcut import (
     CutSet,
@@ -14,6 +17,7 @@ from roughcut import (
     percentile_to_cut,
     percentile_value_grid,
 )
+from roughcut.discretize import interior_cuts
 
 
 def make_table(columns):
@@ -143,3 +147,29 @@ def test_discretized_table_validation():
         DiscretizedTable(np.array([[0], [3]]), np.array([0, 1]), (3,))
     with pytest.raises(ValueError):
         DiscretizedTable(np.array([[0], [1]]), np.array([0]), (2,))
+
+
+@given(
+    column=hnp.arrays(np.float64, st.integers(1, 60),
+                      elements=st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6)),
+    picks=st.lists(st.integers(1, 99), min_size=1, max_size=6, unique=True).map(sorted),
+)
+def test_value_equal_to_a_cut_falls_in_the_upper_bin(column, picks):
+    grid = percentile_value_grid(make_table([column]))[0]
+    cuts = interior_cuts([grid[p - 1] for p in picks], column.min(), column.max())
+    below = [np.nextafter(c, -np.inf) for c in cuts]
+    probes = np.concatenate([column, cuts, below])
+    bins = apply_cuts(make_table([probes]), CutSet((cuts,))).bins[:, 0]
+    n = column.size
+    assert bins[n:n + len(cuts)].tolist() == list(range(1, len(cuts) + 1))
+    assert bins[n + len(cuts):].tolist() == list(range(len(cuts)))
+
+    # The ACO's form: with rank = number of grid values <= v, the bin is the
+    # number of kept picks p (those interior_cuts keeps) with rank >= p.
+    kept = []
+    for p in picks:
+        if column.min() < grid[p - 1] < column.max() and (not kept or grid[p - 1] > grid[kept[-1] - 1]):
+            kept.append(p)
+    ranks = np.searchsorted(grid, probes, side="right")
+    assert [grid[p - 1] for p in kept] == list(cuts)
+    assert ((ranks[:, None] >= np.array(kept, dtype=np.int64)).sum(axis=1) == bins).all()

@@ -327,6 +327,23 @@ def test_ruleset_rejects_mismatched_arrays():
         RuleSet([[1, 0]], [1], [2], [1.0], 1, (3,))
 
 
+def test_ruleset_rejects_out_of_range_fields():
+    def rules(decisions=(1, 0), supports=(2, 1), confidences=(1.0, 0.5), default=1):
+        return RuleSet([[0], [1]], decisions, supports, confidences, default, (3,))
+
+    assert rules().n_certain == 1
+    cases = [
+        ({"decisions": (1, 2)}, "rule 1: decision 2"),
+        ({"supports": (0, 1)}, "rule 0: support 0"),
+        ({"confidences": (1.0, float("nan"))}, "rule 1: confidence nan"),
+        ({"confidences": (1.01, 0.5)}, "rule 0: confidence 1.01"),
+        ({"default": 7}, "default_decision must be 0 or 1, got 7"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            rules(**changes)
+
+
 def test_ruleset_from_json_rejects_malformed_rules():
     def payload(**changes):
         second = {"conditions": {"0": 2, "1": 0}, "decision": 0, "support": 3,
@@ -344,10 +361,22 @@ def test_ruleset_from_json_rejects_malformed_rules():
         ({"conditions": {"0": 2, "1": -1}}, "rule 1: bin index out of range for attribute 1"),
         ({"certain": False}, "rule 1: certain"),
         ({"confidence": 0.5}, "rule 1: certain"),
+        ({"decision": 2}, r"rule 1: decision 2 is not in \{0, 1\}"),
+        ({"decision": -1}, r"rule 1: decision -1 is not in \{0, 1\}"),
+        ({"support": -3}, "rule 1: support -3 is not >= 1"),
+        ({"support": 0}, "rule 1: support 0 is not >= 1"),
+        ({"confidence": 1.5, "certain": False}, r"rule 1: confidence 1.5 is not in \[0, 1\]"),
+        ({"confidence": -0.25, "certain": False}, r"rule 1: confidence -0.25 is not in \[0, 1\]"),
     ]
     for changes, message in cases:
         with pytest.raises(ValueError, match=message):
             ruleset_from_json(payload(**changes))
+    for default in (7, -1, 2):
+        with pytest.raises(ValueError, match=f"default_decision must be 0 or 1, got {default}"):
+            ruleset_from_json({**payload(), "default_decision": default})
+    # all three at once: the first bad rule field is reported
+    with pytest.raises(ValueError, match="rule 1: decision 2"):
+        ruleset_from_json({**payload(decision=2, support=-3), "default_decision": 7})
 
 
 def test_ruleset_json_roundtrip():
