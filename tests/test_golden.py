@@ -10,6 +10,9 @@ discretizer the test pins:
 - for ACO, the best percentiles and the running best validation cost of
   every iteration, stored as {iteration: misclassified validation objects}
   at each iteration where it improved.
+
+It also pins the bytes ``write_csv`` writes for the synthetic table of
+each seed, recorded before the CSV row loops were rewritten.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import json
 import pytest
 
 import roughcut.cli as cli
+from roughcut import default_profile, generate, write_csv
 
 N = 2000
 
@@ -73,6 +77,13 @@ GOLDEN = {
 }
 
 
+CSV_SHA256 = {
+    1: "a69f5b92b2dae62f0967a98d5229ee8aebb54e56b9f9e27dc63a4ed377a8b74a",
+    2: "e1db9ec0324eed2022090eb8ba1ff0487b0b3df60d395dab685e1f86077867c7",
+    3: "dc6122131305bbd4424f3709803957fa3afaed50eb4b75289dc640e85ccbe910",
+}
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -119,3 +130,10 @@ def run_arm(tmp_path, monkeypatch, discretizer, seed) -> dict:
 @pytest.mark.parametrize("discretizer", ["efb", "aco"])
 def test_run_outputs_match_golden(tmp_path, monkeypatch, capsys, discretizer, seed):
     assert run_arm(tmp_path, monkeypatch, discretizer, seed) == GOLDEN[seed][discretizer]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_write_csv_bytes_match_golden(tmp_path, seed):
+    path = tmp_path / "dga.csv"
+    write_csv(generate(default_profile(), N, seed=seed), path)
+    assert sha256(path) == CSV_SHA256[seed]
