@@ -8,6 +8,8 @@ in ppm for DGA data) plus one binary decision column: 0 = healthy,
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +20,10 @@ LABEL_COLUMN = "label"
 # Bounded re-shuffle attempts before split() gives up on producing
 # two-class train and test partitions.
 MAX_SPLIT_RETRIES = 100
+
+# write_csv formats and writes this many rows at a time, so the text of the
+# whole table is never held at once.
+CSV_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,11 @@ class DecisionTable:
                 f"row width {values.shape[1]} does not match "
                 f"{len(self.attribute_names)} attribute names"
             )
+        seen = set()
+        for name in (name.strip() for name in self.attribute_names):
+            if name in seen:
+                raise ValueError(f"duplicate attribute name {name!r}")
+            seen.add(name)
         if decisions.shape != (values.shape[0],):
             raise ValueError("decisions must have one entry per object")
         if not np.all(np.isfinite(values)):
@@ -99,8 +110,9 @@ def load_csv(path: str | Path) -> DecisionTable:
     """Load a decision table from CSV.
 
     The header names the condition attributes; the final column must be
-    named ``label`` and hold 0/1 decisions. Rows with any empty or
-    non-numeric condition cell are dropped and counted in ``n_dropped``.
+    named ``label`` and hold 0/1 decisions. Rows with any empty,
+    non-numeric or non-finite condition cell are dropped and counted in
+    ``n_dropped``; blank lines are skipped and not counted.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -113,8 +125,8 @@ def load_csv(path: str | Path) -> DecisionTable:
             raise ValueError(f"{path}: last column must be named {LABEL_COLUMN!r}")
         names = tuple(name.strip() for name in header[:-1])
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
+        values = array("d")
+        labels = array("q")
         dropped = 0
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
@@ -122,11 +134,11 @@ def load_csv(path: str | Path) -> DecisionTable:
             if len(cells) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
             try:
-                parsed = [float(cell) for cell in cells[:-1]]
+                parsed = list(map(float, cells[:-1]))
             except ValueError:
                 dropped += 1
                 continue
-            if not all(np.isfinite(parsed)):
+            if not all(map(math.isfinite, parsed)):
                 dropped += 1
                 continue
             label_cell = cells[-1].strip()
@@ -138,27 +150,33 @@ def load_csv(path: str | Path) -> DecisionTable:
                 if label_value not in (0.0, 1.0):
                     raise ValueError(f"{path}:{lineno}: label {label_cell!r} is not 0 or 1")
                 label_cell = str(int(label_value))
-            rows.append(parsed)
+            values.fromlist(parsed)
             labels.append(int(label_cell))
 
-    if not rows:
+    if not labels:
         raise ValueError(f"{path}: no usable data rows")
     return DecisionTable(
         attribute_names=names,
-        values=np.array(rows, dtype=np.float64),
-        decisions=np.array(labels, dtype=np.int64),
+        values=np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(names)),
+        decisions=np.frombuffer(labels, dtype=np.int64),
         n_dropped=dropped,
     )
 
 
 def write_csv(table: DecisionTable, path: str | Path) -> None:
-    """Write a decision table as CSV; values round-trip at full precision."""
+    """Write a decision table as CSV; values round-trip at full precision.
+
+    Each value is written as the ``repr`` of its float, which never needs
+    quoting, and each row ends in the ``excel`` dialect's ``\\r\\n``.
+    """
     path = Path(path)
+    row_format = "%r," * table.n_attributes + "%d\r\n"
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(table.attribute_names) + [LABEL_COLUMN])
-        for row, decision in zip(table.values, table.decisions):
-            writer.writerow([repr(float(v)) for v in row] + [int(decision)])
+        csv.writer(fh).writerow(list(table.attribute_names) + [LABEL_COLUMN])
+        for start in range(0, table.n_objects, CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            rows = zip(table.values[start:stop].tolist(), table.decisions[start:stop].tolist())
+            fh.write("".join([row_format % (*row, decision) for row, decision in rows]))
 
 
 def split(table: DecisionTable, spec: SplitSpec) -> tuple[DecisionTable, DecisionTable]:

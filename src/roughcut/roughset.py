@@ -7,6 +7,7 @@ every attribute considered; each equivalence class becomes one if-then rule.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
@@ -282,18 +283,28 @@ def ruleset_to_json(rules: RuleSet) -> dict:
     }
 
 
+def _integer(value, field_name: str) -> int:
+    """``value`` as an int; anything but an integral number raises ValueError naming the field."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{field_name} {value!r} is not an integer")
+
+
 def ruleset_from_json(payload: dict) -> RuleSet:
     """Rebuild the rules of ``ruleset_to_json``; a malformed rule raises ValueError."""
-    counts = tuple(int(c) for c in payload["attribute_bin_counts"])
+    counts = tuple(_integer(c, "attribute_bin_counts entry") for c in payload["attribute_bin_counts"])
     entries = payload["rules"]
-    conditions = []
+    conditions, decisions, supports = [], [], []
     for i, entry in enumerate(entries):
-        bins = {int(a): int(b) for a, b in entry["conditions"].items()}
+        bins = {int(a): _integer(b, f"rule {i}: attribute {a} bin")
+                for a, b in entry["conditions"].items()}
         if sorted(bins) != list(range(len(counts))):
             raise ValueError(f"rule {i}: conditions must name attributes 0..{len(counts) - 1} once each")
         if bool(entry["certain"]) != (float(entry["confidence"]) == 1.0):
             raise ValueError(f"rule {i}: certain flag disagrees with confidence {entry['confidence']}")
         conditions.append([bins[a] for a in range(len(counts))])
-    columns = ([entry[key] for entry in entries] for key in ("decision", "support", "confidence"))
+        decisions.append(_integer(entry["decision"], f"rule {i}: decision"))
+        supports.append(_integer(entry["support"], f"rule {i}: support"))
     return RuleSet(np.array(conditions, dtype=np.int64).reshape(len(entries), len(counts)),
-                   *columns, int(payload["default_decision"]), counts)
+                   decisions, supports, [entry["confidence"] for entry in entries],
+                   _integer(payload["default_decision"], "default_decision"), counts)

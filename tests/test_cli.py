@@ -175,6 +175,56 @@ def test_run_missing_data_file_fails_cleanly(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def generated_csv(tmp_path, n=300, seed=4):
+    """A `roughcut generate` CSV split into its header cells and its data lines."""
+    csv_path = tmp_path / "data.csv"
+    assert main(["generate", "--n", str(n), "--seed", str(seed), "--out", str(csv_path)]) == 0
+    header, *lines = csv_path.read_text().splitlines()
+    return csv_path, header.split(","), lines
+
+
+def test_run_rejects_duplicate_attribute_names(tmp_path, capsys):
+    csv_path, header, lines = generated_csv(tmp_path)
+    header[3] = header[0]
+    csv_path.write_text("\n".join([",".join(header)] + lines) + "\n")
+    out = tmp_path / "run"
+    args = ["run", "--discretizer", "efb", "--data", str(csv_path), "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: duplicate attribute name {header[0]!r}"
+    assert not (out / "cuts.json").exists()
+
+
+@pytest.mark.parametrize("discretizer", ["efb", "aco"])
+def test_run_accepts_a_constant_column(tmp_path, discretizer):
+    csv_path, header, lines = generated_csv(tmp_path)
+    rows = [line.split(",") for line in lines]
+    for row in rows:
+        row[2] = "7.5"
+    csv_path.write_text("\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n")
+    out = tmp_path / "run"
+    args = ["run", "--discretizer", discretizer, "--data", str(csv_path), "--iters", "5",
+            "--out", str(out)]
+    assert main(args) == 0
+    cuts = json.loads((out / "cuts.json").read_text())
+    assert cuts[header[2]] == []
+    assert len(cuts) == 9
+
+
+def test_run_rejects_a_single_class_table(tmp_path, capsys):
+    csv_path, header, lines = generated_csv(tmp_path)
+    rows = [line.rsplit(",", 1)[0] + ",0" for line in lines]
+    csv_path.write_text("\n".join([",".join(header)] + rows) + "\n")
+    out = tmp_path / "run"
+    args = ["run", "--discretizer", "efb", "--data", str(csv_path), "--clip-outliers",
+            "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: split requires at least 2 objects of each decision class"
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 def test_run_aco_reports_a_fit_split_without_both_classes(tmp_path, capsys):
     # two faulty objects: the train/test split puts one on each side, so
     # the ACO's own fit/validation split of the training part cannot

@@ -1,8 +1,19 @@
-"""Decision table construction, CSV round-trips, and train/test splitting."""
+"""Decision table construction, CSV round-trips, and train/test splitting.
+
+The reference_* functions are the plain per-row CSV writer and loader that
+write_csv and load_csv replaced; hypothesis checks the two against them.
+"""
+
+import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import roughcut.data as data
 from roughcut import (
     DecisionTable,
     SplitSpec,
@@ -83,6 +94,21 @@ def test_csv_roundtrip_full_precision(tmp_path):
     assert loaded.n_dropped == 0
 
 
+def test_load_csv_rejects_duplicate_attribute_names(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("h2,ch4, h2 ,label\n1.0,2.0,3.0,0\n")
+    with pytest.raises(ValueError, match="duplicate attribute name 'h2'"):
+        load_csv(path)
+
+
+def test_write_csv_chunks_match_reference(tmp_path, monkeypatch):
+    table = generate(default_profile(), 50, seed=4)
+    monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 7)
+    write_csv(table, tmp_path / "chunked.csv")
+    reference_write_csv(table, tmp_path / "reference.csv")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_decision_table_validation():
     with pytest.raises(ValueError):
         DecisionTable(("a",), np.zeros((2, 2)), np.array([0, 1]))
@@ -92,6 +118,8 @@ def test_decision_table_validation():
         DecisionTable(("a",), np.array([[1.0], [2.0]]), np.array([0, 2]))
     with pytest.raises(ValueError):
         DecisionTable(("a",), np.array([[1.0], [2.0]]), np.array([0]))
+    with pytest.raises(ValueError, match="duplicate attribute name 'a'"):
+        DecisionTable(("a", "b", "a "), np.zeros((1, 3)), np.array([1]))
 
 
 def test_decision_table_is_immutable():
@@ -176,3 +204,143 @@ def test_clip_outliers_winsorizes_extremes():
     # interior values pass through untouched
     interior = (table.values[:, 0] > -1) & (table.values[:, 0] < 1)
     np.testing.assert_array_equal(clipped.values[interior, 0], table.values[interior, 0])
+
+
+def reference_write_csv(table, path):
+    """Row-by-row reference: csv.writer over repr of every value."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(table.attribute_names) + ["label"])
+        for row, decision in zip(table.values, table.decisions):
+            writer.writerow([repr(float(v)) for v in row] + [int(decision)])
+
+
+def reference_load_csv(path):
+    """Row-by-row reference: a list of parsed rows, checked cell by cell."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: file is empty") from None
+        if len(header) < 2 or header[-1].strip() != "label":
+            raise ValueError(f"{path}: last column must be named 'label'")
+        names = tuple(name.strip() for name in header[:-1])
+        rows, labels, dropped = [], [], 0
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+            try:
+                parsed = [float(cell) for cell in cells[:-1]]
+            except ValueError:
+                dropped += 1
+                continue
+            if not all(np.isfinite(parsed)):
+                dropped += 1
+                continue
+            label_cell = cells[-1].strip()
+            if label_cell not in ("0", "1"):
+                try:
+                    label_value = float(label_cell)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: label {label_cell!r} is not 0 or 1") from None
+                if label_value not in (0.0, 1.0):
+                    raise ValueError(f"{path}:{lineno}: label {label_cell!r} is not 0 or 1")
+                label_cell = str(int(label_value))
+            rows.append(parsed)
+            labels.append(int(label_cell))
+    if not rows:
+        raise ValueError(f"{path}: no usable data rows")
+    return DecisionTable(names, np.array(rows, dtype=np.float64),
+                         np.array(labels, dtype=np.int64), n_dropped=dropped)
+
+
+# Values whose repr is awkward: signed zero, subnormals, the extremes, exponents.
+AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308,
+           1.7976931348623157e308, 1e16, 1e-05, 0.1, 123456789012345680.0]
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def finite_tables(draw):
+    """A table of arbitrary finite float64 values holding both decisions."""
+    names = draw(st.lists(st.sampled_from(["h2", "ch4", "c,o", 'q"t', "x y", "c2h6"]),
+                          min_size=1, max_size=4, unique=True))
+    n_rows = draw(st.integers(0, 12))
+    elements = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(AWKWARD))
+    values = draw(hnp.arrays(np.float64, (n_rows + 2, len(names)), elements=elements))
+    decisions = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows))
+    return DecisionTable(tuple(names), values, np.array(decisions))
+
+
+@PROPERTY_SETTINGS
+@given(table=finite_tables())
+@example(table=DecisionTable(("a", "b"), np.array(AWKWARD).reshape(-1, 2), np.arange(6) % 2))
+def test_csv_roundtrip_is_bit_exact(tmp_path, table):
+    path = tmp_path / "t.csv"
+    write_csv(table, path)
+    reference_write_csv(table, tmp_path / "reference.csv")
+    assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    loaded = load_csv(path)
+    assert loaded.attribute_names == table.attribute_names
+    assert loaded.values.tobytes() == table.values.tobytes()
+    np.testing.assert_array_equal(loaded.decisions, table.decisions)
+    assert loaded.n_dropped == 0
+
+
+VALUE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f" {v!r}\t"),
+    st.sampled_from(["", " ", "nan", "NaN", "inf", "-inf", "1e999", "x", "1.5.2", "0x10", "1_0"]),
+)
+LABEL_CELLS = st.sampled_from(["0", "1"] * 10 + ["1.0", "0.0", " 1", "0 ", "1e0"]
+                              + ["2", "0.5", "-1", "x", "", "nan"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text mixing good rows, droppable rows, blank lines and bad labels or widths."""
+    names = draw(st.lists(st.sampled_from(["h2", "ch4", " co ", "co", "c2h2"]),
+                          min_size=1, max_size=3, unique=True))
+    label = draw(st.sampled_from(["label"] * 6 + [" label", "lbl"]))
+    lines = [",".join(names + [label])]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 30))
+        if kind == 0:
+            lines.append("")
+            continue
+        width = len(names) + (1 if kind == 1 else 0)
+        cells = draw(st.lists(VALUE_CELLS, min_size=width, max_size=width))
+        lines.append(",".join(cells + [draw(LABEL_CELLS)]))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def load_outcome(loader, path):
+    """The loaded table's names, value bits, decisions and drop count, or the error message."""
+    try:
+        table = loader(path)
+    except ValueError as exc:
+        return str(exc)
+    return (table.attribute_names, table.values.shape, table.values.tobytes(),
+            table.decisions.tolist(), table.n_dropped)
+
+
+@PROPERTY_SETTINGS
+@given(text=csv_texts())
+@example(text="a,label\n1.0,0\nx,2\n2.0,1\n")  # a bad label on a dropped row is not read
+@example(text="a,label\n1.0,0\n\n-0.0, 1.0 \n 5e-324 ,0.0\nnan,1\n,1\n")
+@example(text="a,label\n1.0,0\n2.0,2\n")
+@example(text="a,b,label\n1.0,0\n")
+@example(text="a,a,label\n1.0,2.0,0\n")
+@example(text="")
+def test_load_csv_matches_reference(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    assert load_outcome(load_csv, path) == load_outcome(reference_load_csv, path)

@@ -367,6 +367,11 @@ def test_ruleset_from_json_rejects_malformed_rules():
         ({"support": 0}, "rule 1: support 0 is not >= 1"),
         ({"confidence": 1.5, "certain": False}, r"rule 1: confidence 1.5 is not in \[0, 1\]"),
         ({"confidence": -0.25, "certain": False}, r"rule 1: confidence -0.25 is not in \[0, 1\]"),
+        ({"decision": 1.5}, "rule 1: decision 1.5 is not an integer"),
+        ({"decision": "1"}, "rule 1: decision '1' is not an integer"),
+        ({"support": 2.7}, "rule 1: support 2.7 is not an integer"),
+        ({"support": float("nan")}, "rule 1: support nan is not an integer"),
+        ({"conditions": {"0": 0.9, "1": 0}}, "rule 1: attribute 0 bin 0.9 is not an integer"),
     ]
     for changes, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -374,6 +379,12 @@ def test_ruleset_from_json_rejects_malformed_rules():
     for default in (7, -1, 2):
         with pytest.raises(ValueError, match=f"default_decision must be 0 or 1, got {default}"):
             ruleset_from_json({**payload(), "default_decision": default})
+    with pytest.raises(ValueError, match="default_decision 0.5 is not an integer"):
+        ruleset_from_json({**payload(), "default_decision": 0.5})
+    with pytest.raises(ValueError, match="attribute_bin_counts entry 2.5 is not an integer"):
+        ruleset_from_json({**payload(), "attribute_bin_counts": [3, 2.5]})
+    # integral floats are the integers they spell
+    assert ruleset_from_json(payload(decision=0.0, support=3.0)).lookup((2, 0)).support == 3
     # all three at once: the first bad rule field is reported
     with pytest.raises(ValueError, match="rule 1: decision 2"):
         ruleset_from_json({**payload(decision=2, support=-3), "default_decision": 7})
