@@ -31,7 +31,8 @@ class DecisionTable:
     """Immutable table of objects x condition attributes plus a binary decision.
 
     ``values`` is (n_objects, n_attributes) float64, ``decisions`` is
-    (n_objects,) int64 with entries in {0, 1}. ``n_dropped`` counts rows
+    (n_objects,) int64 with entries in {0, 1}. Attribute names must be
+    distinct once stripped of surrounding whitespace. ``n_dropped`` counts rows
     discarded during CSV ingestion; it is metadata, not table content.
     """
 

@@ -94,13 +94,6 @@ def test_csv_roundtrip_full_precision(tmp_path):
     assert loaded.n_dropped == 0
 
 
-def test_load_csv_rejects_duplicate_attribute_names(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("h2,ch4, h2 ,label\n1.0,2.0,3.0,0\n")
-    with pytest.raises(ValueError, match="duplicate attribute name 'h2'"):
-        load_csv(path)
-
-
 def test_write_csv_chunks_match_reference(tmp_path, monkeypatch):
     table = generate(default_profile(), 50, seed=4)
     monkeypatch.setattr(data, "CSV_CHUNK_ROWS", 7)
