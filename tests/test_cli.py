@@ -175,50 +175,49 @@ def test_run_missing_data_file_fails_cleanly(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
-def generated_csv(tmp_path, n=300, seed=4):
-    """A `roughcut generate` CSV split into its header cells and its data lines."""
+def generated_cells(tmp_path):
+    """Header cells and data rows (lists of cells) of a 300-row `roughcut generate` CSV."""
+    path = tmp_path / "generated.csv"
+    assert main(["generate", "--n", "300", "--seed", "4", "--out", str(path)]) == 0
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return header, rows
+
+
+def run_on_cells(tmp_path, header, rows, *extra):
+    """`roughcut run` on a CSV of these cells; returns the exit code and the output directory."""
     csv_path = tmp_path / "data.csv"
-    assert main(["generate", "--n", str(n), "--seed", str(seed), "--out", str(csv_path)]) == 0
-    header, *lines = csv_path.read_text().splitlines()
-    return csv_path, header.split(","), lines
+    csv_path.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]))
+    out = tmp_path / "run"
+    return main(["run", "--data", str(csv_path), "--out", str(out), *extra]), out
 
 
 def test_run_rejects_duplicate_attribute_names(tmp_path, capsys):
-    csv_path, header, lines = generated_csv(tmp_path)
+    header, rows = generated_cells(tmp_path)
     header[3] = header[0]
-    csv_path.write_text("\n".join([",".join(header)] + lines) + "\n")
-    out = tmp_path / "run"
-    args = ["run", "--discretizer", "efb", "--data", str(csv_path), "--out", str(out)]
-    assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.strip() == f"error: duplicate attribute name {header[0]!r}"
+    code, out = run_on_cells(tmp_path, header, rows, "--discretizer", "efb")
+    assert code == 1
+    assert capsys.readouterr().err.strip() == f"error: duplicate attribute name {header[0]!r}"
     assert not (out / "cuts.json").exists()
 
 
 @pytest.mark.parametrize("discretizer", ["efb", "aco"])
 def test_run_accepts_a_constant_column(tmp_path, discretizer):
-    csv_path, header, lines = generated_csv(tmp_path)
-    rows = [line.split(",") for line in lines]
+    header, rows = generated_cells(tmp_path)
     for row in rows:
         row[2] = "7.5"
-    csv_path.write_text("\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n")
-    out = tmp_path / "run"
-    args = ["run", "--discretizer", discretizer, "--data", str(csv_path), "--iters", "5",
-            "--out", str(out)]
-    assert main(args) == 0
+    code, out = run_on_cells(tmp_path, header, rows, "--discretizer", discretizer, "--iters", "5")
+    assert code == 0
     cuts = json.loads((out / "cuts.json").read_text())
     assert cuts[header[2]] == []
     assert len(cuts) == 9
 
 
 def test_run_rejects_a_single_class_table(tmp_path, capsys):
-    csv_path, header, lines = generated_csv(tmp_path)
-    rows = [line.rsplit(",", 1)[0] + ",0" for line in lines]
-    csv_path.write_text("\n".join([",".join(header)] + rows) + "\n")
-    out = tmp_path / "run"
-    args = ["run", "--discretizer", "efb", "--data", str(csv_path), "--clip-outliers",
-            "--out", str(out)]
-    assert main(args) == 1
+    header, rows = generated_cells(tmp_path)
+    for row in rows:
+        row[-1] = "0"
+    code, out = run_on_cells(tmp_path, header, rows, "--discretizer", "efb", "--clip-outliers")
+    assert code == 1
     err = capsys.readouterr().err
     assert err.strip() == "error: split requires at least 2 objects of each decision class"
     assert "Traceback" not in err
