@@ -2,8 +2,10 @@
 
 Each ant picks, per attribute, an ascending set of percentile positions in
 [1, 99]; the realized cuts feed a rough-set classifier whose validation
-error is the solution cost. Pheromone on (attribute, position) pairs decays
-every iteration and is reinforced in proportion to 1/cost.
+error is the solution cost. Each pick draws a feasible position with
+probability proportional to its pheromone tau raised to alpha. Pheromone on
+(attribute, position) pairs decays every iteration and is reinforced in
+proportion to 1/cost.
 
 ``optimize`` costs all ants of an iteration in one pass over grid ranks
 (``_RankedSplit``); ``evaluate_solution`` is the same cost for one ant.
@@ -12,7 +14,7 @@ every iteration and is reinforced in proportion to 1/cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .roughset import classify_table, induce_rules
 N_POSITIONS = 99  # candidate percentiles 1..99
 TAU_INIT = 1.0
 TAU_FLOOR = 1e-6
-ETA_FLOOR = 1e-6
 COST_FLOOR = 1e-3  # deposit uses max(cost, COST_FLOOR) so 1/cost stays finite
 FIT_FRACTION = 0.8  # share of the training set used to fit rules; rest validates
 KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
@@ -36,7 +37,6 @@ class AcoParams:
     num_ants: int = 10
     num_iterations: int = 100
     alpha: float = 0.09
-    beta: float = 0.09
     rho: float = 0.9
     q_deposit: float = 1.0
     num_cuts: int = 2
@@ -47,12 +47,12 @@ class AcoParams:
             raise ValueError("num_ants must be positive")
         if self.num_iterations < 1:
             raise ValueError("at least one iteration is required")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and non-negative")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        if self.q_deposit <= 0:
-            raise ValueError("q_deposit must be positive")
+        if not 0.0 < self.q_deposit < np.inf:
+            raise ValueError("q_deposit must be finite and positive")
         if not 1 <= self.num_cuts <= N_POSITIONS:
             raise ValueError(f"num_cuts must lie in [1, {N_POSITIONS}]")
         if self.seed < 0:
@@ -61,22 +61,18 @@ class AcoParams:
 
 @dataclass(frozen=True)
 class PheromoneModel:
-    """Pheromone (tau) and attractiveness (eta) per attribute and position."""
+    """Pheromone (tau) per attribute and position."""
 
     tau: np.ndarray
-    eta: np.ndarray
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=np.float64)
-        eta = np.asarray(self.eta, dtype=np.float64)
-        if tau.shape != eta.shape or tau.ndim != 2 or tau.shape[1] != N_POSITIONS:
-            raise ValueError(f"tau and eta must both be (n_attributes, {N_POSITIONS})")
-        if (tau <= 0).any() or (eta <= 0).any():
-            raise ValueError("tau and eta must be strictly positive")
+        if tau.ndim != 2 or tau.shape[1] != N_POSITIONS:
+            raise ValueError(f"tau must be (n_attributes, {N_POSITIONS})")
+        if (tau <= 0).any():
+            raise ValueError("tau must be strictly positive")
         tau.setflags(write=False)
-        eta.setflags(write=False)
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "eta", eta)
 
     @property
     def n_attributes(self) -> int:
@@ -120,114 +116,23 @@ class PercentileGrid:
         return self.values.shape[0]
 
 
-def initial_model(n_attributes: int, eta: np.ndarray | None = None) -> PheromoneModel:
-    """Uniform pheromone; uniform attractiveness unless an eta matrix is given."""
-    tau = np.full((n_attributes, N_POSITIONS), TAU_INIT)
-    if eta is None:
-        eta = np.ones((n_attributes, N_POSITIONS))
-    return PheromoneModel(tau, eta)
+def initial_model(n_attributes: int) -> PheromoneModel:
+    """Uniform pheromone."""
+    return PheromoneModel(np.full((n_attributes, N_POSITIONS), TAU_INIT))
 
 
-def purity_eta(table: DecisionTable, grid: PercentileGrid | None = None) -> np.ndarray:
-    """Optional attractiveness: Gini impurity gain of each single candidate cut."""
-    if grid is None:
-        grid = PercentileGrid.from_table(table)
-    labels = table.decisions
-    n = table.n_objects
-
-    def gini(ones: float, size: float) -> float:
-        if size == 0:
-            return 0.0
-        p = ones / size
-        return 2.0 * p * (1.0 - p)
-
-    total_ones = int(labels.sum())
-    parent = gini(total_ones, n)
-    eta = np.empty((table.n_attributes, N_POSITIONS))
-    for a in range(table.n_attributes):
-        col = table.values[:, a]
-        for j in range(N_POSITIONS):
-            cut = grid.values[a, j]
-            left = col < cut  # value == cut falls in the upper bin
-            n_left = int(left.sum())
-            ones_left = int(labels[left].sum())
-            gain = parent - (
-                n_left / n * gini(ones_left, n_left)
-                + (n - n_left) / n * gini(total_ones - ones_left, n - n_left)
-            )
-            eta[a, j] = max(gain, ETA_FLOOR)
-    return eta
-
-
-def _probabilities(weights: np.ndarray) -> np.ndarray:
-    total = weights.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise ValueError("selection weights must have a positive finite sum")
-    return weights / total
-
-
-def _choice_cdf(probs: np.ndarray) -> np.ndarray:
-    """Cumulative distribution that ``Generator.choice(p=probs)`` draws from.
+def _choice_cdf(weights: np.ndarray) -> np.ndarray:
+    """Cumulative distribution that ``Generator.choice(p=weights / weights.sum())`` draws from.
 
     Index ``cdf.searchsorted(u, side="right")`` for ``u = rng.random()`` is
     the index ``choice`` returns, bit for bit, from the same RNG stream.
     """
-    cdf = probs.cumsum()
+    total = weights.sum()
+    if total <= 0 or not np.isfinite(total):
+        raise ValueError(f"selection weights tau ** alpha sum to {total}; use a smaller alpha")
+    cdf = (weights / total).cumsum()
     cdf /= cdf[-1]
     return cdf
-
-
-def selection_probabilities(
-    tau_row: np.ndarray,
-    eta_row: np.ndarray,
-    feasible: Iterable[int],
-    alpha: float,
-    beta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Probability of each feasible position: tau^alpha * eta^beta, normalized.
-
-    Returns (positions, probabilities) with positions sorted ascending.
-    """
-    positions = np.array(sorted(set(int(p) for p in feasible)), dtype=np.int64)
-    if positions.size == 0:
-        raise ValueError("feasible set is empty")
-    if positions[0] < 1 or positions[-1] > N_POSITIONS:
-        raise ValueError(f"positions must lie in [1, {N_POSITIONS}]")
-    weights = np.asarray(tau_row)[positions - 1] ** alpha * np.asarray(eta_row)[positions - 1] ** beta
-    return positions, _probabilities(weights)
-
-
-def select_next(
-    tau_row: np.ndarray,
-    eta_row: np.ndarray,
-    feasible: Iterable[int],
-    alpha: float,
-    beta: float,
-    rng: np.random.Generator,
-) -> int:
-    """Sample one position according to the pheromone/attractiveness rule."""
-    positions, probs = selection_probabilities(tau_row, eta_row, feasible, alpha, beta)
-    return int(positions[_choice_cdf(probs).searchsorted(rng.random(), side="right")])
-
-
-def construct_solution(
-    model: PheromoneModel,
-    params: AcoParams,
-    grid: PercentileGrid,
-    rng: np.random.Generator,
-) -> AntSolution:
-    """Pick num_cuts ascending percentile positions per attribute and realize cuts.
-
-    Later picks are restricted above earlier ones; the upper bound leaves
-    room for the cuts still to come, so construction can never strand.
-    Percentile values falling on an attribute's min/max, or duplicating an
-    earlier cut (ties in the data), are dropped from the realized CutSet.
-    Each pick draws like ``select_next`` on the feasible positions.
-    """
-    if model.n_attributes != grid.n_attributes:
-        raise ValueError("pheromone model does not match the candidate grid")
-    weights = model.tau ** params.alpha * model.eta ** params.beta
-    return _construct(weights, params, grid, rng, {})
 
 
 def _construct(
@@ -237,8 +142,14 @@ def _construct(
     rng: np.random.Generator,
     cdfs: dict[tuple[int, int, int], np.ndarray],
 ) -> AntSolution:
-    """``construct_solution`` from precomputed tau^alpha * eta^beta.
+    """Pick num_cuts ascending percentile positions per attribute and realize cuts.
 
+    ``weights`` is tau^alpha. Each pick draws like ``Generator.choice`` with
+    probabilities proportional to the weights of the feasible positions.
+    Later picks are restricted above earlier ones; the upper bound leaves
+    room for the cuts still to come, so construction can never strand.
+    Percentile values falling on an attribute's min/max, or duplicating an
+    earlier cut (ties in the data), are dropped from the realized CutSet.
     ``cdfs`` caches the distribution of each (attribute, previous pick,
     upper bound); it is only valid for one ``weights`` matrix.
     """
@@ -253,7 +164,7 @@ def _construct(
             upper = N_POSITIONS - (k - c - 1)
             cdf = cdfs.get((a, prev, upper))
             if cdf is None:
-                cdf = cdfs[a, prev, upper] = _choice_cdf(_probabilities(weights[a, prev:upper]))
+                cdf = cdfs[a, prev, upper] = _choice_cdf(weights[a, prev:upper])
             prev += 1 + int(cdf.searchsorted(next(draws), side="right"))
             chosen.append(prev)
         all_percentiles.append(tuple(chosen))
@@ -345,14 +256,13 @@ def update_pheromones(
             for p in positions:
                 deposits[a, p - 1] += amount
     tau = np.maximum((1.0 - params.rho) * model.tau + deposits, TAU_FLOOR)
-    return PheromoneModel(tau, model.eta)
+    return PheromoneModel(tau)
 
 
 def optimize(
     train: DecisionTable,
     params: AcoParams,
     *,
-    eta: np.ndarray | None = None,
     progress: Callable[[IterationStats], None] | None = None,
 ) -> tuple[AntSolution, list[IterationStats]]:
     """Run the full colony and return the least-cost solution ever constructed.
@@ -373,18 +283,21 @@ def optimize(
             f"in both parts"
         ) from exc
     grid = PercentileGrid.from_table(train)
-    model = initial_model(train.n_attributes, eta=eta)
+    model = initial_model(train.n_attributes)
     ranked = _RankedSplit(grid, fit, validation)
 
     best: AntSolution | None = None
     history: list[IterationStats] = []
     for iteration in range(params.num_iterations):
-        weights = model.tau ** params.alpha * model.eta ** params.beta
-        cdfs: dict[tuple[int, int, int], np.ndarray] = {}
-        solutions = [
-            _construct(weights, params, grid, np.random.default_rng((params.seed, iteration, ant)), cdfs)
-            for ant in range(params.num_ants)
-        ]
+        # a tau ** alpha that overflows fails _choice_cdf's check, not with a numpy warning
+        with np.errstate(over="ignore"):
+            weights = model.tau ** params.alpha
+            cdfs: dict[tuple[int, int, int], np.ndarray] = {}
+            solutions = [
+                _construct(weights, params, grid,
+                           np.random.default_rng((params.seed, iteration, ant)), cdfs)
+                for ant in range(params.num_ants)
+            ]
         costs = ranked.costs(np.array([s.percentiles for s in solutions], dtype=np.int64))
         for solution, cost in zip(solutions, costs.tolist()):
             solution.cost = cost

@@ -32,8 +32,9 @@ class DecisionTable:
 
     ``values`` is (n_objects, n_attributes) float64, ``decisions`` is
     (n_objects,) int64 with entries in {0, 1}. Attribute names must be
-    distinct once stripped of surrounding whitespace. ``n_dropped`` counts rows
-    discarded during CSV ingestion; it is metadata, not table content.
+    distinct and have no surrounding whitespace, which ``load_csv`` strips.
+    ``n_dropped`` counts rows discarded during CSV ingestion; it is
+    metadata, not table content.
     """
 
     attribute_names: tuple[str, ...]
@@ -46,15 +47,20 @@ class DecisionTable:
         decisions = np.asarray(self.decisions, dtype=np.int64)
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array of shape (n_objects, n_attributes)")
+        if values.shape[1] == 0:
+            raise ValueError("a decision table needs at least one condition attribute")
         if values.shape[1] != len(self.attribute_names):
             raise ValueError(
                 f"row width {values.shape[1]} does not match "
                 f"{len(self.attribute_names)} attribute names"
             )
         seen = set()
-        for name in (name.strip() for name in self.attribute_names):
-            if name in seen:
-                raise ValueError(f"duplicate attribute name {name!r}")
+        for name in self.attribute_names:
+            stripped = name.strip()
+            if stripped in seen:
+                raise ValueError(f"duplicate attribute name {stripped!r}")
+            if stripped != name:
+                raise ValueError(f"attribute name {name!r} has surrounding whitespace")
             seen.add(name)
         if decisions.shape != (values.shape[0],):
             raise ValueError("decisions must have one entry per object")

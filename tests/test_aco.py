@@ -1,4 +1,4 @@
-"""Ant colony search: selection rule, solution construction, the batched
+"""Ant colony search: pick distribution, solution construction, the batched
 cost pass against the per-ant cost, pheromone updates, and the optimize
 loop's determinism and convergence bookkeeping."""
 
@@ -16,13 +16,9 @@ from roughcut import (
     DecisionTable,
     PercentileGrid,
     PheromoneModel,
-    construct_solution,
     evaluate_solution,
     initial_model,
     optimize,
-    purity_eta,
-    select_next,
-    selection_probabilities,
     update_pheromones,
     write_history_csv,
 )
@@ -46,67 +42,55 @@ def random_train_table(rng, n=60, m=2):
     return make_table(values, decisions)
 
 
-def test_selection_probabilities_normalize():
-    rng = np.random.default_rng(501)
-    tau = rng.uniform(0.1, 5.0, N_POSITIONS)
-    eta = rng.uniform(0.1, 5.0, N_POSITIONS)
-    positions, probs = selection_probabilities(tau, eta, range(10, 60), 0.09, 0.09)
-    assert positions.tolist() == list(range(10, 60))
-    assert abs(probs.sum() - 1.0) < 1e-12
-    assert (probs > 0).all()
+def single_cut_picks(tau, alpha, n_draws, seed):
+    """Percentile picked by each of n_draws one-attribute, one-cut ants."""
+    table = random_train_table(np.random.default_rng(500), n=40, m=1)
+    grid = PercentileGrid.from_table(table)
+    params = AcoParams(num_cuts=1, alpha=alpha)
+    weights = np.asarray(tau, dtype=np.float64).reshape(1, N_POSITIONS) ** alpha
+    rng = np.random.default_rng(seed)
+    return np.array([_construct(weights, params, grid, rng, {}).percentiles[0][0]
+                     for _ in range(n_draws)])
 
 
 def test_selection_uniform_is_uniform():
-    tau = np.ones(N_POSITIONS)
-    eta = np.ones(N_POSITIONS)
-    feasible = [3, 10, 42, 77]
-    # seed picked away from the 1% rejection tail a correct sampler still
-    # hits occasionally; about 97.5% of seeds pass this check
-    rng = np.random.default_rng(0)
-    draws = [select_next(tau, eta, feasible, 0.09, 0.09, rng) for _ in range(10_000)]
-    counts = [draws.count(p) for p in feasible]
+    # a correct sampler fails a p > 0.01 check on 1% of seeds; this seed
+    # gives p = 0.23
+    draws = single_cut_picks(np.ones(N_POSITIONS), 0.09, 10_000, seed=0)
+    counts = np.bincount(draws, minlength=N_POSITIONS + 1)[1:]
     assert chisquare(counts).pvalue > 0.01
 
 
 def test_selection_singleton_is_certain():
-    tau = np.ones(N_POSITIONS)
-    eta = np.ones(N_POSITIONS)
+    # 99 cuts leave exactly one feasible position for every pick
     rng = np.random.default_rng(503)
+    table = random_train_table(rng, n=40, m=2)
+    grid = PercentileGrid.from_table(table)
+    params = AcoParams(num_cuts=N_POSITIONS, alpha=1.0)
+    weights = rng.uniform(0.05, 20.0, (2, N_POSITIONS)) ** params.alpha
     for _ in range(50):
-        assert select_next(tau, eta, [42], 0.09, 0.09, rng) == 42
+        solution = _construct(weights, params, grid, rng, {})
+        assert solution.percentiles == (tuple(range(1, 100)),) * 2
 
 
 def test_selection_follows_pheromone_ratio():
     tau = np.ones(N_POSITIONS)
     tau[4] = 8.0  # position 5
-    eta = np.ones(N_POSITIONS)
-    positions, probs = selection_probabilities(tau, eta, [5, 9], alpha=1.0, beta=0.0)
-    np.testing.assert_allclose(probs, [8 / 9, 1 / 9])
-    rng = np.random.default_rng(504)
-    draws = np.array([select_next(tau, eta, [5, 9], 1.0, 0.0, rng) for _ in range(10_000)])
-    assert abs((draws == 5).mean() - 8 / 9) <= 0.02
-
-
-def test_selection_validation():
-    tau = np.ones(N_POSITIONS)
-    eta = np.ones(N_POSITIONS)
-    with pytest.raises(ValueError, match="empty"):
-        selection_probabilities(tau, eta, [], 1.0, 1.0)
-    with pytest.raises(ValueError):
-        selection_probabilities(tau, eta, [0, 5], 1.0, 1.0)
-    with pytest.raises(ValueError):
-        selection_probabilities(tau, eta, [100], 1.0, 1.0)
+    draws = single_cut_picks(tau, 1.0, 10_000, seed=504)
+    assert abs((draws == 5).mean() - 8 / 106) <= 0.01
+    counts = np.bincount(draws, minlength=N_POSITIONS + 1)[1:]
+    assert chisquare(counts, tau / tau.sum() * draws.size).pvalue > 0.01
 
 
 def test_construct_solution_orders_positions():
     rng = np.random.default_rng(505)
     table = random_train_table(rng, n=80, m=3)
     grid = PercentileGrid.from_table(table)
-    model = initial_model(3)
     params = AcoParams(num_cuts=2, seed=0)
+    weights = initial_model(3).tau ** params.alpha
     gen = np.random.default_rng(506)
     for _ in range(200):
-        solution = construct_solution(model, params, grid, gen)
+        solution = _construct(weights, params, grid, gen, {})
         for pair in solution.percentiles:
             i, j = pair
             assert 1 <= i < j <= N_POSITIONS
@@ -117,11 +101,11 @@ def test_construct_solution_single_cut():
     rng = np.random.default_rng(507)
     table = random_train_table(rng, n=40, m=1)
     grid = PercentileGrid.from_table(table)
-    model = initial_model(1)
     params = AcoParams(num_cuts=1, seed=0)
+    weights = initial_model(1).tau ** params.alpha
     gen = np.random.default_rng(508)
     for _ in range(100):
-        (pos,) = construct_solution(model, params, grid, gen).percentiles[0]
+        (pos,) = _construct(weights, params, grid, gen, {}).percentiles[0]
         assert 1 <= pos <= N_POSITIONS
 
 
@@ -135,12 +119,12 @@ def test_construct_solution_collapses_tied_percentiles():
     decisions = (plateau > 4.0).astype(np.int64)
     table = make_table(plateau, decisions)
     grid = PercentileGrid.from_table(table)
-    model = initial_model(1)
     params = AcoParams(num_cuts=2, seed=0)
+    weights = initial_model(1).tau ** params.alpha
     gen = np.random.default_rng(510)
     lengths = set()
     for _ in range(40):
-        solution = construct_solution(model, params, grid, gen)
+        solution = _construct(weights, params, grid, gen, {})
         lengths.add(len(solution.cuts.cuts_per_attribute[0]))
         assert len(solution.cuts.cuts_per_attribute[0]) <= 2
     assert min(lengths) < 2
@@ -151,19 +135,11 @@ def test_construct_solution_constant_attribute_yields_no_cuts():
     decisions = (np.arange(30) >= 15).astype(np.int64)
     table = make_table(values, decisions)
     grid = PercentileGrid.from_table(table)
-    solution = construct_solution(
-        initial_model(2), AcoParams(num_cuts=2, seed=0), grid, np.random.default_rng(511)
-    )
+    params = AcoParams(num_cuts=2, seed=0)
+    solution = _construct(initial_model(2).tau ** params.alpha, params, grid,
+                          np.random.default_rng(511), {})
     assert solution.cuts.cuts_per_attribute[0] == ()
     assert len(solution.percentiles[0]) == 2
-
-
-def test_construct_solution_checks_grid_shape():
-    rng = np.random.default_rng(512)
-    table = random_train_table(rng, n=30, m=2)
-    grid = PercentileGrid.from_table(table)
-    with pytest.raises(ValueError, match="grid"):
-        construct_solution(initial_model(3), AcoParams(), grid, np.random.default_rng(0))
 
 
 def test_evaluate_solution_perfect_and_hopeless():
@@ -221,9 +197,9 @@ def test_construct_solution_draws_like_rng_choice():
     rng = np.random.default_rng(521)
     table = random_train_table(rng, n=80, m=3)
     grid = PercentileGrid.from_table(table)
-    model = PheromoneModel(rng.uniform(0.05, 20.0, (3, N_POSITIONS)),
-                           rng.uniform(0.05, 20.0, (3, N_POSITIONS)))
-    params = AcoParams(num_cuts=3, alpha=1.3, beta=0.7)
+    model = PheromoneModel(rng.uniform(0.05, 20.0, (3, N_POSITIONS)))
+    params = AcoParams(num_cuts=3, alpha=1.3)
+    weights = model.tau ** params.alpha
 
     def reference(gen):
         picks = []
@@ -231,28 +207,21 @@ def test_construct_solution_draws_like_rng_choice():
             chosen, prev = [], 0
             for c in range(params.num_cuts):
                 positions = np.arange(prev + 1, N_POSITIONS - (params.num_cuts - c - 1) + 1)
-                weights = (model.tau[a, positions - 1] ** params.alpha
-                           * model.eta[a, positions - 1] ** params.beta)
-                prev = int(gen.choice(positions, p=weights / weights.sum()))
+                w = model.tau[a, positions - 1] ** params.alpha
+                prev = int(gen.choice(positions, p=w / w.sum()))
                 chosen.append(prev)
             picks.append(tuple(chosen))
         return tuple(picks)
 
     ours, theirs = np.random.default_rng(522), np.random.default_rng(522)
     for _ in range(200):
-        assert construct_solution(model, params, grid, ours).percentiles == reference(theirs)
+        assert _construct(weights, params, grid, ours, {}).percentiles == reference(theirs)
         assert ours.random() == theirs.random()
-    # optimize's path: one weight matrix and one distribution cache shared by the ants
-    weights = model.tau ** params.alpha * model.eta ** params.beta
+    # optimize's path: one distribution cache shared by the ants
     cdfs = {}
     for ant in range(100):
         got = _construct(weights, params, grid, np.random.default_rng((7, 0, ant)), cdfs)
         assert got.percentiles == reference(np.random.default_rng((7, 0, ant)))
-    ours, theirs = np.random.default_rng(523), np.random.default_rng(523)
-    for feasible in ([5, 9], range(1, 100), range(40, 41), range(17, 60)):
-        positions, probs = selection_probabilities(model.tau[0], model.eta[0], feasible, 1.3, 0.7)
-        assert select_next(model.tau[0], model.eta[0], feasible, 1.3, 0.7, ours) == \
-            theirs.choice(positions, p=probs)
 
 
 def realize(grid, picks):
@@ -396,20 +365,9 @@ def test_update_pheromones_floors():
 
 def test_pheromone_model_validation():
     with pytest.raises(ValueError):
-        PheromoneModel(np.ones((2, 5)), np.ones((2, 5)))
+        PheromoneModel(np.ones((2, 5)))
     with pytest.raises(ValueError):
-        PheromoneModel(np.zeros((1, N_POSITIONS)), np.ones((1, N_POSITIONS)))
-
-
-def test_purity_eta_shape_and_floor():
-    rng = np.random.default_rng(514)
-    table = random_train_table(rng, n=50, m=2)
-    eta = purity_eta(table)
-    assert eta.shape == (2, N_POSITIONS)
-    assert (eta > 0).all()
-    # the label tracks attribute 0, so its best candidate cut should be
-    # more attractive than anything the noise attribute offers
-    assert eta[0].max() > eta[1].max()
+        PheromoneModel(np.zeros((1, N_POSITIONS)))
 
 
 def test_aco_params_validation():
@@ -421,6 +379,11 @@ def test_aco_params_validation():
         AcoParams(rho=1.5)
     with pytest.raises(ValueError):
         AcoParams(alpha=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            AcoParams(alpha=bad)
+        with pytest.raises(ValueError, match="q_deposit"):
+            AcoParams(q_deposit=bad)
     with pytest.raises(ValueError):
         AcoParams(q_deposit=0.0)
     with pytest.raises(ValueError):
@@ -469,15 +432,6 @@ def test_optimize_progress_callback_sees_history():
         table, AcoParams(num_ants=3, num_iterations=4, seed=2), progress=seen.append
     )
     assert seen == history
-
-
-def test_optimize_accepts_custom_eta():
-    rng = np.random.default_rng(519)
-    table = random_train_table(rng, n=50, m=2)
-    eta = purity_eta(table)
-    best, history = optimize(table, AcoParams(num_ants=3, num_iterations=3, seed=5), eta=eta)
-    assert best.cost is not None
-    assert len(history) == 3
 
 
 def test_write_history_csv(tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: generate, run, and compare."""
 
 import json
+import warnings
 
 import pytest
 
@@ -238,6 +239,20 @@ def test_run_aco_reports_a_fit_split_without_both_classes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the ACO fit/validation split (FIT_FRACTION = 0.8)")
     assert "13 objects of class 0 and 1 of class 1 cannot hold both classes" in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("alpha, total", [("100", "0.0"), ("200", "inf")])
+def test_run_aco_rejects_an_alpha_whose_weights_leave_float_range(tmp_path, capsys, alpha, total):
+    # at 200, tau ** alpha overflows once deposits lift tau above about 35;
+    # at 100, every feasible weight of some pick underflows to zero
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert main(run_args(out, discretizer="aco", n=500, extra=["--alpha", alpha])) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if not line.startswith("iteration ")]
+    assert errors == [f"error: selection weights tau ** alpha sum to {total}; use a smaller alpha"]
     assert not (out / "report.json").exists()
 
 

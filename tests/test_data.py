@@ -113,6 +113,12 @@ def test_decision_table_validation():
         DecisionTable(("a",), np.array([[1.0], [2.0]]), np.array([0]))
     with pytest.raises(ValueError, match="duplicate attribute name 'a'"):
         DecisionTable(("a", "b", "a "), np.zeros((1, 3)), np.array([1]))
+    with pytest.raises(ValueError, match="attribute name ' h2' has surrounding whitespace"):
+        DecisionTable((" h2", "ch4"), np.zeros((1, 2)), np.array([1]))
+    with pytest.raises(ValueError, match=r"attribute name 'ch4\\t' has surrounding whitespace"):
+        DecisionTable(("h2", "ch4\t"), np.zeros((1, 2)), np.array([1]))
+    with pytest.raises(ValueError, match="at least one condition attribute"):
+        DecisionTable((), np.zeros((1, 0)), np.array([1]))
 
 
 def test_decision_table_is_immutable():
@@ -249,6 +255,22 @@ def reference_load_csv(path):
         raise ValueError(f"{path}: no usable data rows")
     return DecisionTable(names, np.array(rows, dtype=np.float64),
                          np.array(labels, dtype=np.int64), n_dropped=dropped)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(names=st.lists(st.text(max_size=6), min_size=1, max_size=4))
+@example(names=[" h2", "ch4"])
+@example(names=["h2", "h2 "])
+def test_every_accepted_table_roundtrips_its_names(tmp_path, names):
+    try:
+        table = DecisionTable(tuple(names), np.zeros((2, len(names))), np.array([0, 1]))
+    except ValueError:
+        assert len(set(names)) < len(names) or any(name != name.strip() for name in names)
+        return
+    path = tmp_path / "names.csv"
+    write_csv(table, path)
+    assert load_csv(path) == table
 
 
 # Values whose repr is awkward: signed zero, subnormals, the extremes, exponents.

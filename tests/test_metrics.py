@@ -4,27 +4,42 @@ AUC is cross-checked against the Mann-Whitney pair-count statistic and the
 ROC sweep against a literal one-threshold-at-a-time reconstruction.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughcut import (
+    AcoParams,
     ConfusionMatrix,
     DecisionTable,
     CutSet,
     RocCurve,
     EvaluationReport,
+    SplitSpec,
     accuracy,
     approximate,
     apply_cuts,
     auc,
+    classify_table,
     confusion,
+    cuts_from_json,
+    cuts_to_json,
+    default_profile,
+    efb_cuts,
     evaluate_pipeline,
+    generate,
+    optimize,
     partition,
     report_to_json,
     roc,
     roc_to_csv,
+    ruleset_from_json,
+    ruleset_to_json,
+    split,
 )
 
 
@@ -243,3 +258,29 @@ def test_roc_to_csv_roundtrips(tmp_path):
     assert math.isinf(float(first[0]))
     last = lines[-1].split(",")
     assert (float(last[1]), float(last[2])) == (1.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(100, 800), num_cuts=st.integers(1, 3),
+       discretizer=st.sampled_from(["efb", "aco"]))
+def test_reloaded_rules_and_cuts_reproduce_the_report(seed, n, num_cuts, discretizer):
+    table = generate(default_profile(), n, seed)
+    train, test = split(table, SplitSpec(train_fraction=0.7, seed=seed))
+    if discretizer == "efb":
+        cuts = efb_cuts(train, num_cuts)
+    else:
+        params = AcoParams(num_ants=3, num_iterations=3, num_cuts=num_cuts, seed=seed)
+        cuts = optimize(train, params)[0].cuts
+    report = evaluate_pipeline(train, test, cuts)
+    names = test.attribute_names
+    rules = ruleset_from_json(json.loads(json.dumps(ruleset_to_json(report.rules))))
+    reloaded_cuts = cuts_from_json(json.loads(json.dumps(cuts_to_json(cuts, names))), names)
+    assert reloaded_cuts == cuts
+    assert rules.rules == report.rules.rules
+
+    decisions, scores = classify_table(report.rules, apply_cuts(test, cuts))
+    reloaded_decisions, reloaded_scores = classify_table(rules, apply_cuts(test, reloaded_cuts))
+    assert reloaded_decisions.tobytes() == decisions.tobytes()
+    assert reloaded_scores.tobytes() == scores.tobytes()
+    assert confusion(reloaded_decisions, test.decisions) == report.matrix
+    assert auc(roc(reloaded_scores, test.decisions)) == report.auc
