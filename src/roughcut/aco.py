@@ -13,6 +13,7 @@ proportion to 1/cost.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,14 +21,14 @@ import numpy as np
 
 from .data import DecisionTable, SplitSpec, split
 from .discretize import CutSet, apply_cuts, interior_cuts, percentile_value_grid
-from .roughset import classify_table, induce_rules
+from .roughset import KEY_LIMIT  # noqa: F401 -- the cost pass's key limit, importable here too
+from .roughset import _row_keys, classify_table, induce_rules
 
 N_POSITIONS = 99  # candidate percentiles 1..99
 TAU_INIT = 1.0
 TAU_FLOOR = 1e-6
 COST_FLOOR = 1e-3  # deposit uses max(cost, COST_FLOOR) so 1/cost stays finite
 FIT_FRACTION = 0.8  # share of the training set used to fit rules; rest validates
-KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,8 @@ class _RankedSplit:
         """``evaluate_solution`` of every ant in one pass.
 
         ``percentiles`` is (ants, n_attributes, num_cuts). Rows are grouped by
-        a mixed-radix cell key that leads with the ant index; only keys that
+        the ``roughset`` cell key with the ant index as its leading column,
+        each attribute's bins built only when it is keyed; only keys that
         occur are numbered, so no table spans the whole key space. Each cell
         takes the fit majority, ties and cells without fit rows going to the
         fit prior as in ``induce_rules``.
@@ -222,15 +224,10 @@ class _RankedSplit:
         thresholds = np.where(kept, percentiles, N_POSITIONS + 1)[..., None]  # no rank reaches 100
 
         n_rows = self.ranks.shape[1]
-        keys = np.repeat(np.arange(n_ants, dtype=np.int64), n_rows)
-        radix = n_ants
-        for a in range(n_attributes):
-            if radix * (k + 1) > KEY_LIMIT:
-                _, keys = np.unique(keys, return_inverse=True)
-                radix = int(keys.max()) + 1
-            bins = (self.ranks[a] >= thresholds[:, a]).sum(axis=1)
-            keys = keys * (k + 1) + bins.ravel()
-            radix *= k + 1
+        ants = np.repeat(np.arange(n_ants, dtype=np.int64), n_rows)
+        bins = (((self.ranks[a] >= thresholds[:, a]).sum(axis=1).ravel(), k + 1)
+                for a in range(n_attributes))
+        keys, _ = _row_keys(itertools.chain([(ants, n_ants)], bins))
         distinct, cells = np.unique(keys, return_inverse=True)
         cells = cells.reshape(n_ants, n_rows)
 

@@ -25,6 +25,9 @@ MAX_SPLIT_RETRIES = 100
 # whole table is never held at once.
 CSV_CHUNK_ROWS = 8192
 
+# The surrounding whitespace a CSV number may carry: the ASCII characters float() strips.
+CSV_SPACE = " \t\n\r\v\f"
+
 
 @dataclass(frozen=True)
 class DecisionTable:
@@ -47,6 +50,8 @@ class DecisionTable:
         decisions = np.asarray(self.decisions, dtype=np.int64)
         if values.ndim != 2:
             raise ValueError("values must be a 2-D array of shape (n_objects, n_attributes)")
+        if values.shape[0] == 0:
+            raise ValueError("a decision table needs at least one object")
         if values.shape[1] == 0:
             raise ValueError("a decision table needs at least one condition attribute")
         if values.shape[1] != len(self.attribute_names):
@@ -66,7 +71,7 @@ class DecisionTable:
             raise ValueError("decisions must have one entry per object")
         if not np.all(np.isfinite(values)):
             raise ValueError("condition values must be finite")
-        if decisions.size and not np.isin(decisions, (0, 1)).all():
+        if not np.isin(decisions, (0, 1)).all():
             raise ValueError("decisions must be 0 or 1")
         values = values.copy()
         decisions = decisions.copy()
@@ -117,9 +122,11 @@ def load_csv(path: str | Path) -> DecisionTable:
     """Load a decision table from CSV.
 
     The header names the condition attributes; the final column must be
-    named ``label`` and hold 0/1 decisions. Rows with any empty,
-    non-numeric or non-finite condition cell are dropped and counted in
-    ``n_dropped``; blank lines are skipped and not counted.
+    named ``label`` and hold 0/1 decisions. A number is ASCII digits with
+    an optional sign, decimal point and exponent, and surrounding
+    ``CSV_SPACE``. Rows with any empty, non-numeric or non-finite condition
+    cell are dropped and counted in ``n_dropped``; blank lines are skipped
+    and not counted.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -140,21 +147,27 @@ def load_csv(path: str | Path) -> DecisionTable:
                 continue
             if len(cells) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+            conditions = cells[:-1]
             try:
-                parsed = list(map(float, cells[:-1]))
+                parsed = list(map(float, conditions))
             except ValueError:
                 dropped += 1
                 continue
-            if not all(map(math.isfinite, parsed)):
+            # On ASCII text without "_", float() reads exactly the CSV number
+            # grammar plus the nan/inf spellings, which are non-finite; "_" and
+            # non-ASCII characters let it read Python-only spellings such as
+            # 1_000, ١٢ or １２.
+            text = "".join(conditions)
+            if "_" in text or not text.isascii() or not all(map(math.isfinite, parsed)):
                 dropped += 1
                 continue
-            label_cell = cells[-1].strip()
+            label_cell = cells[-1].strip(CSV_SPACE)
             if label_cell not in ("0", "1"):
                 try:
                     label_value = float(label_cell)
                 except ValueError:
-                    raise ValueError(f"{path}:{lineno}: label {label_cell!r} is not 0 or 1") from None
-                if label_value not in (0.0, 1.0):
+                    label_value = None
+                if label_value not in (0.0, 1.0) or "_" in label_cell or not label_cell.isascii():
                     raise ValueError(f"{path}:{lineno}: label {label_cell!r} is not 0 or 1")
                 label_cell = str(int(label_value))
             values.fromlist(parsed)

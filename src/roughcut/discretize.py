@@ -125,8 +125,6 @@ def apply_cuts(table: DecisionTable, cuts: CutSet) -> DiscretizedTable:
 
 def percentile_to_cut(table: DecisionTable, attribute: int, p: int) -> float:
     """Nearest-rank p-th percentile of an attribute: the ceil(p*n/100)-th sorted value."""
-    if table.n_objects == 0:
-        raise ValueError("table is empty")
     if not 1 <= p <= 99:
         raise ValueError("percentile must lie in [1, 99]")
     col = np.sort(table.values[:, attribute])
@@ -137,8 +135,6 @@ def percentile_to_cut(table: DecisionTable, attribute: int, p: int) -> float:
 def percentile_value_grid(table: DecisionTable) -> np.ndarray:
     """(n_attributes, 99) array of nearest-rank percentile values, p = 1..99."""
     n = table.n_objects
-    if n == 0:
-        raise ValueError("table is empty")
     ranks = np.array([math.ceil(p * n / 100) for p in range(1, 100)])
     ranks = np.maximum(ranks, 1) - 1
     grid = np.empty((table.n_attributes, 99))

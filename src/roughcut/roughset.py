@@ -15,6 +15,8 @@ import numpy as np
 
 from .discretize import DiscretizedTable
 
+KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -84,6 +86,7 @@ class RuleSet:
     attribute_bin_counts: tuple[int, ...]
     _keys: np.ndarray = field(init=False, repr=False)
     _positions: np.ndarray = field(init=False, repr=False)
+    _renumbered: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype in (("conditions", np.int64), ("decisions", np.int64),
@@ -106,12 +109,15 @@ class RuleSet:
                 raise ValueError(f"rule {at}: {name} {values[at]} is not {allowed}")
         if self.default_decision not in (0, 1):
             raise ValueError(f"default_decision must be 0 or 1, got {self.default_decision!r}")
-        # Sorted distinct keys and, for each, the rule holding it.
-        keys, positions = np.unique(_row_keys(self.conditions), return_index=True)
+        # Sorted distinct keys, the rule holding each (then -1, for no key),
+        # and the partial keys renumbered with, which match ranks queries against.
+        keys, renumbered = _row_keys(zip(self.conditions.T, self.attribute_bin_counts))
+        keys, positions = np.unique(keys, return_index=True)
         if keys.size < self.decisions.size:
             raise ValueError("duplicate rule conditions")
         object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_positions", np.append(positions, -1))
+        object.__setattr__(self, "_renumbered", tuple(renumbered))
 
     @property
     def rules(self) -> tuple[Rule, ...]:
@@ -128,48 +134,90 @@ class RuleSet:
                     int(self.supports[at]), confidence, confidence == 1.0)
 
     def match(self, bins: np.ndarray) -> np.ndarray:
-        """Position of the rule matching each row of a bin matrix, or -1."""
+        """Position of the rule matching each row of a bin matrix, or -1.
+
+        A row with a bin outside [0, count) matches nothing. The mask is taken
+        from the bins because mixed-radix keys alias: with counts (3, 3) the
+        rows (0, 5) and (1, 2) both have key 5.
+        """
         bins = np.asarray(bins, dtype=np.int64)
-        n_attrs = len(self.attribute_bin_counts)
-        if bins.ndim != 2 or bins.shape[1] != n_attrs:
-            raise ValueError(f"expected {n_attrs} bins per object, got shape {bins.shape}")
-        keys = _row_keys(bins)
-        if not self._keys.size:
-            return np.full(keys.size, -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-        return np.where(self._keys[at] == keys, self._positions[at], -1)
+        counts = self.attribute_bin_counts
+        if bins.ndim != 2 or bins.shape[1] != len(counts):
+            raise ValueError(f"expected {len(counts)} bins per object, got shape {bins.shape}")
+        keys, _ = _row_keys(zip(bins.T, counts), self._renumbered)
+        at = _find(self._keys, keys)
+        at[_out_of_range(bins, counts).any(axis=1)] = -1
+        return self._positions[at]
 
     def lookup(self, key: tuple[int, ...]) -> Rule | None:
         at = int(self.match([key])[0])
         return None if at < 0 else self._rule(at)
 
 
-def _row_keys(bins: np.ndarray) -> np.ndarray:
-    """One np.void key per row of a 2-D bin matrix: the row's bytes.
+def _row_keys(
+    columns: Iterable[tuple[np.ndarray, int]], dictionaries: Sequence[np.ndarray] | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One int64 mixed-radix key per row, from the row's bin columns taken one at a time.
 
-    Two keys are equal exactly when their rows are, however wide the table.
+    ``columns`` yields ``(bins, count)`` pairs with every bin in [0, count),
+    and each one turns the keys into ``key * count + bins``. Before the radix
+    would pass KEY_LIMIT the partial keys are renumbered: by ``np.unique``
+    when ``dictionaries`` is None, otherwise by their position in the next
+    of those sorted partial keys, -1 where absent (a negative key stays
+    negative, so it never matches). Returns the keys and the distinct partial
+    keys renumbered with. Two keys are equal exactly when their rows are,
+    however wide the table.
     """
-    rows = np.ascontiguousarray(bins, dtype=np.int64)
-    if rows.shape[1] == 0:
+    keys, radix, renumbered = None, 1, []
+    for bins, count in columns:
+        if keys is None:
+            keys = np.array(bins, dtype=np.int64)
+        else:
+            if radix * count > KEY_LIMIT:
+                if dictionaries is None:
+                    distinct, keys = np.unique(keys, return_inverse=True)
+                else:
+                    distinct = dictionaries[len(renumbered)]
+                    keys = _find(distinct, keys)
+                renumbered.append(distinct)
+                radix = distinct.size
+            keys *= count
+            keys += bins
+        radix *= count
+    if keys is None:
         raise ValueError("bin matrix must have at least one attribute")
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return keys, renumbered
+
+
+def _find(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the sorted distinct keys ``distinct``, or -1 where absent."""
+    if not distinct.size:
+        return np.full(keys.shape, -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(distinct, keys), distinct.size - 1)
+    return np.where(distinct[at] == keys, at, -1)
+
+
+def _out_of_range(bins: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """Mask of the bins outside [0, count) for their attribute."""
+    return (bins < 0) | (bins >= np.asarray(counts, dtype=np.int64))
 
 
 def _check_bins(bins: np.ndarray, counts: tuple[int, ...], row_name: str) -> None:
     """Raise ValueError naming the first row and attribute with a bin outside [0, count)."""
-    bad = (bins < 0) | (bins >= np.asarray(counts, dtype=np.int64))
+    bad = _out_of_range(bins, counts)
     if bad.any():
         row, attr = (int(i) for i in np.argwhere(bad)[0])
         raise ValueError(f"{row_name} {row}: bin index out of range for attribute {attr} ({counts[attr]} bins)")
 
 
-def _group_rows(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of a bin matrix by exact equality.
+def _group_rows(bins: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of a bin matrix, with ``counts`` bins per attribute, by exact equality.
 
     Cells are numbered by first appearance. Returns ``(first, cell_of)``:
     cell c has first row ``first[c]``, and row r lies in cell ``cell_of[r]``.
     """
-    _, first, inverse = np.unique(_row_keys(bins), return_index=True, return_inverse=True)
+    keys, _ = _row_keys(zip(bins.T, counts))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     renumber = np.empty_like(order)
     renumber[order] = np.arange(order.size)
@@ -183,7 +231,7 @@ def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
         raise ValueError("attribute subset must be non-empty")
     if attrs[0] < 0 or attrs[-1] >= table.n_attributes:
         raise ValueError("attribute index out of range")
-    _, class_of = _group_rows(table.bins[:, attrs])
+    _, class_of = _group_rows(table.bins[:, attrs], [table.attribute_bin_counts[a] for a in attrs])
     members = np.argsort(class_of, kind="stable")
     bounds = np.cumsum(np.bincount(class_of))
     classes = tuple(frozenset(m.tolist()) for m in np.split(members, bounds)[:-1])
@@ -235,7 +283,7 @@ def induce_rules(table: DiscretizedTable) -> RuleSet:
         raise ValueError("training table must contain both decision classes")
     prior_winner = 1 if total_ones >= total_zeros else 0
 
-    first, cell_of = _group_rows(table.bins)
+    first, cell_of = _group_rows(table.bins, table.attribute_bin_counts)
     sizes = np.bincount(cell_of)
     ones = np.bincount(cell_of[table.decisions == 1], minlength=sizes.size)
     zeros = sizes - ones

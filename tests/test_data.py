@@ -2,9 +2,12 @@
 
 The reference_* functions are the plain per-row CSV writer and loader that
 write_csv and load_csv replaced; hypothesis checks the two against them.
+The reference loader reads numbers with its own regular expression for the
+CSV number grammar, not with load_csv's check.
 """
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +61,19 @@ def test_load_csv_drops_non_numeric_and_non_finite(tmp_path):
     table = load_csv(path)
     assert table.n_objects == 2
     assert table.n_dropped == 3
+
+
+def test_load_csv_reads_only_the_csv_number_grammar(tmp_path):
+    # float() reads each of these dropped cells as a number
+    path = tmp_path / "t.csv"
+    path.write_text("a,label\n1_000,1\n١٢,0\n１２,1\n\xa05,0\n +1.5e1\t,0\n", encoding="utf-8")
+    table = load_csv(path)
+    assert table.values.tolist() == [[15.0]]
+    assert table.n_dropped == 4
+    for label in ("0_0", "１", "\xa01"):
+        path.write_text(f"a,label\n1.0,{label}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"t.csv:2: label {label!r} is not 0 or 1")):
+            load_csv(path)
 
 
 def test_load_csv_rejects_bad_label(tmp_path):
@@ -119,6 +135,8 @@ def test_decision_table_validation():
         DecisionTable(("h2", "ch4\t"), np.zeros((1, 2)), np.array([1]))
     with pytest.raises(ValueError, match="at least one condition attribute"):
         DecisionTable((), np.zeros((1, 0)), np.array([1]))
+    with pytest.raises(ValueError, match="at least one object"):
+        DecisionTable(("a",), np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
 
 
 def test_decision_table_is_immutable():
@@ -214,6 +232,16 @@ def reference_write_csv(table, path):
             writer.writerow([repr(float(v)) for v in row] + [int(decision)])
 
 
+# The CSV number grammar: ASCII digits, optional sign, point and exponent, surrounding whitespace.
+SPACE = "[ \t\n\r\v\f]*"
+NUMBER = re.compile(rf"{SPACE}[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?{SPACE}")
+
+
+def reference_number(cell):
+    """The value of a cell in the CSV number grammar, or None."""
+    return float(cell) if NUMBER.fullmatch(cell) else None
+
+
 def reference_load_csv(path):
     """Row-by-row reference: a list of parsed rows, checked cell by cell."""
     path = Path(path)
@@ -232,25 +260,16 @@ def reference_load_csv(path):
                 continue
             if len(cells) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-            try:
-                parsed = [float(cell) for cell in cells[:-1]]
-            except ValueError:
+            parsed = [reference_number(cell) for cell in cells[:-1]]
+            if None in parsed or not all(np.isfinite(parsed)):
                 dropped += 1
                 continue
-            if not all(np.isfinite(parsed)):
-                dropped += 1
-                continue
-            label_cell = cells[-1].strip()
-            if label_cell not in ("0", "1"):
-                try:
-                    label_value = float(label_cell)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: label {label_cell!r} is not 0 or 1") from None
-                if label_value not in (0.0, 1.0):
-                    raise ValueError(f"{path}:{lineno}: label {label_cell!r} is not 0 or 1")
-                label_cell = str(int(label_value))
+            label_value = reference_number(cells[-1])
+            if label_value not in (0.0, 1.0):
+                label_cell = cells[-1].strip(" \t\n\r\v\f")
+                raise ValueError(f"{path}:{lineno}: label {label_cell!r} is not 0 or 1")
             rows.append(parsed)
-            labels.append(int(label_cell))
+            labels.append(int(label_value))
     if not rows:
         raise ValueError(f"{path}: no usable data rows")
     return DecisionTable(names, np.array(rows, dtype=np.float64),
@@ -314,9 +333,12 @@ VALUE_CELLS = st.one_of(
     st.integers(-1000, 1000).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f" {v!r}\t"),
     st.sampled_from(["", " ", "nan", "NaN", "inf", "-inf", "1e999", "x", "1.5.2", "0x10", "1_0"]),
+    # spellings float() reads but the CSV number grammar does not
+    st.sampled_from(["1_000", " 1_0 ", "١٢", "１２", "\xa05", "5\u2003", "+.5e-3", "1.", "\v7\f"]),
 )
 LABEL_CELLS = st.sampled_from(["0", "1"] * 10 + ["1.0", "0.0", " 1", "0 ", "1e0"]
-                              + ["2", "0.5", "-1", "x", "", "nan"])
+                              + ["2", "0.5", "-1", "x", "", "nan"]
+                              + ["0_0", "1_0", "１", "٠", "\xa01", "1\u2003", "+1.", "\t0\v"])
 
 
 @st.composite
@@ -352,6 +374,9 @@ def load_outcome(loader, path):
 @example(text="a,label\n1.0,0\nx,2\n2.0,1\n")  # a bad label on a dropped row is not read
 @example(text="a,label\n1.0,0\n\n-0.0, 1.0 \n 5e-324 ,0.0\nnan,1\n,1\n")
 @example(text="a,label\n1.0,0\n2.0,2\n")
+@example(text="a,label\n1_000,1\n١٢,0\n１２,1\n\xa05,0\n2.0,1\n")
+@example(text="a,label\n1.0,0_0\n")
+@example(text="a,label\n1.0,１\n")
 @example(text="a,b,label\n1.0,0\n")
 @example(text="a,a,label\n1.0,2.0,0\n")
 @example(text="")

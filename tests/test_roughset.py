@@ -24,6 +24,7 @@ from roughcut import (
     ruleset_from_json,
     ruleset_to_json,
 )
+from roughcut.roughset import KEY_LIMIT
 
 
 def brute_partition(bins, attrs):
@@ -314,6 +315,18 @@ def test_classify_table_rejects_out_of_range_bins():
         classify_table(rules, bad)
 
 
+def test_out_of_range_bins_do_not_alias_a_rule():
+    # with counts (3, 3) the mixed-radix keys of (0, 5), (2, -1) and (1, 2) are all 5
+    rules = RuleSet([[1, 2]], [1], [4], [1.0], 0, (3, 3))
+    assert rules.lookup((1, 2)).support == 4
+    assert rules.lookup((0, 5)) is None
+    assert rules.match([[0, 5], [1, 2], [2, -1]]).tolist() == [-1, 0, -1]
+    with pytest.raises(ValueError, match="object 0: bin index out of range for attribute 1"):
+        classify_table(rules, DiscretizedTable([[0, 5]], [0], (3, 6)))
+    with pytest.raises(ValueError, match="out of range"):
+        classify(rules, (0, 5))
+
+
 def test_ruleset_rejects_duplicate_conditions():
     # rule {0: 1} -> 1 (support 2) and its duplicate {0: 1} -> 0 (support 1), both certain
     with pytest.raises(ValueError, match="duplicate"):
@@ -462,6 +475,21 @@ def wide_table():
 
 WIDE = wide_table()
 WIDE_QUERIES = np.vstack([WIDE.bins, np.ones((1, 40), dtype=np.int64)])
+assert 3**40 > KEY_LIMIT > 3**39  # keys are renumbered once, before the last attribute
+
+# Wide rows that share the 39-attribute prefix renumbered before the last
+# attribute, or share everything but that prefix.
+ZEROS = [0] * 40
+LAST_DIFFERS = [0] * 39 + [1]
+PREFIX_DIFFERS = [1] + [0] * 39
+
+
+def wide_payload():
+    """Certain class-1 rules at ZEROS and at (2, ..., 2, 1) with a class-0 default."""
+    rules = [{"conditions": {str(a): b for a, b in enumerate(key)}, "decision": 1,
+              "support": 2, "confidence": 1.0, "certain": True}
+             for key in (ZEROS, [2] * 39 + [1])]
+    return {"rules": rules, "default_decision": 0, "attribute_bin_counts": [3] * 40}
 
 
 @st.composite
@@ -521,6 +549,7 @@ def test_partition_matches_dict_reference(table):
 @PROPERTY_SETTINGS
 @given(table=bin_tables(min_rows=2))
 @example(table=WIDE)
+@example(table=DiscretizedTable([ZEROS, LAST_DIFFERS, PREFIX_DIFFERS, ZEROS], [0, 1, 1, 1], (3,) * 40))
 def test_induce_rules_matches_dict_reference(table):
     assume(0 < table.decisions.sum() < table.n_objects)
     rules = induce_rules(table)
@@ -536,6 +565,9 @@ def test_induce_rules_matches_dict_reference(table):
 @example(case=({"rules": [], "default_decision": 1, "attribute_bin_counts": [3, 2]},
                np.array([[0, 1], [2, 0]])))
 @example(case=(ruleset_to_json(induce_rules(WIDE)), np.zeros((0, 40), dtype=np.int64)))
+@example(case=(wide_payload(), np.array([PREFIX_DIFFERS])))  # prefix absent from the rules
+@example(case=(wide_payload(), np.array([LAST_DIFFERS])))  # prefix present, last bin not
+@example(case=(wide_payload(), np.array([LAST_DIFFERS, ZEROS, PREFIX_DIFFERS, [2] * 39 + [1]])))
 def test_classify_table_matches_dict_reference(case):
     payload, queries = case
     rules = ruleset_from_json(payload)
