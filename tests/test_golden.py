@@ -9,7 +9,9 @@ discretizer the test pins:
 - the sha256 of ``rules.json``;
 - for ACO, the best percentiles and the running best validation cost of
   every iteration, stored as {iteration: misclassified validation objects}
-  at each iteration where it improved.
+  at each iteration where it improved;
+- for ACO, the sha256 of ``convergence.csv``, whose per-iteration mean cost
+  depends on every ant's picks, not only the winner's.
 
 It also pins the bytes ``write_csv`` writes for the synthetic table of
 each seed, recorded before the CSV row loops were rewritten.
@@ -42,6 +44,7 @@ GOLDEN = {
             "percentiles": ((75, 84), (20, 44), (16, 90), (10, 67), (64, 93),
                             (95, 96), (62, 65), (85, 99), (24, 57)),
             "best_cost_steps": {0: 13, 1: 12, 3: 10, 6: 9, 29: 8, 68: 7},
+            "convergence_sha256": "756f5d39ab9810a83498e66b27c01c7db110c1fed1aaddce9177969b375dc4ac",
         },
     },
     2: {
@@ -57,6 +60,7 @@ GOLDEN = {
             "percentiles": ((90, 96), (68, 80), (95, 98), (46, 76), (41, 47),
                             (13, 43), (79, 82), (29, 96), (3, 57)),
             "best_cost_steps": {0: 11, 4: 9, 16: 3},
+            "convergence_sha256": "76ac076616ed681d1961e531d5bcc88fc11fdade2d33a3411b5a86b3efd8f400",
         },
     },
     3: {
@@ -72,6 +76,7 @@ GOLDEN = {
             "percentiles": ((89, 94), (66, 73), (10, 18), (11, 14), (20, 25),
                             (91, 99), (46, 87), (50, 95), (29, 70)),
             "best_cost_steps": {0: 10, 2: 6, 5: 3},
+            "convergence_sha256": "c5c5fb35f44ceb47a8629b999e6689f806c81636f5f70dc2ce7d91d193f44bd1",
         },
     },
 }
@@ -123,6 +128,7 @@ def run_arm(tmp_path, monkeypatch, discretizer, seed) -> dict:
         (best, history), = searches
         observed["percentiles"] = best.percentiles
         observed["best_cost_steps"] = best_cost_steps(history)
+        observed["convergence_sha256"] = sha256(out / "convergence.csv")
     return observed
 
 
