@@ -7,8 +7,12 @@ probability proportional to its pheromone tau raised to alpha. Pheromone on
 (attribute, position) pairs decays every iteration and is reinforced in
 proportion to 1/cost.
 
-``optimize`` costs all ants of an iteration in one pass over grid ranks
-(``_RankedSplit``); ``evaluate_solution`` is the same cost for one ant.
+``optimize`` handles all ants of an iteration at once: ``_construct`` draws
+cut c for every (ant, attribute) pair in one array pass, ``_RankedSplit``
+costs every ant in one pass over grid ranks, and ``_deposit`` adds every
+ant's pheromone with one ``np.add.at``. Picks stay an int64 array; cut
+values are realized (``_realize``) only for an ant that lowers the running
+best. ``evaluate_solution`` is the same cost for one ant.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import DecisionTable, SplitSpec, split
 from .discretize import CutSet, apply_cuts, interior_cuts, percentile_value_grid
@@ -122,56 +127,90 @@ def initial_model(n_attributes: int) -> PheromoneModel:
     return PheromoneModel(np.full((n_attributes, N_POSITIONS), TAU_INIT))
 
 
-def _choice_cdf(weights: np.ndarray) -> np.ndarray:
-    """Cumulative distribution that ``Generator.choice(p=weights / weights.sum())`` draws from.
+def _row_sums(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``rows[i, :lengths[i]].sum()`` for every row, bit for bit, for lengths up to 128.
 
-    Index ``cdf.searchsorted(u, side="right")`` for ``u = rng.random()`` is
-    the index ``choice`` returns, bit for bit, from the same RNG stream.
+    ``rows`` is zero beyond each length. numpy sums a contiguous float64 run
+    of n <= 128 elements in one block of its pairwise sum: below 8 elements
+    in order; otherwise eight lanes accumulate the full 8-wide blocks, the
+    lanes combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the remaining
+    n % 8 elements are added in order. Adding a padding zero changes no sum.
     """
-    total = weights.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise ValueError(f"selection weights tau ** alpha sum to {total}; use a smaller alpha")
-    cdf = (weights / total).cumsum()
-    cdf /= cdf[-1]
+    n_rows, width = rows.shape
+    n_blocks = lengths // 8  # full blocks; below 8 elements, none
+    blocks = np.zeros((n_rows, width // 8 + 1, 8))
+    blocks.reshape(n_rows, -1)[:, :width] = rows
+    index = np.arange(n_rows)
+    rest = blocks[index, n_blocks].T.copy()  # the n % 8 elements after the full blocks, then zeros
+    blocks[index, n_blocks] = 0.0
+    lanes = blocks.transpose(1, 2, 0).copy()  # (block, lane, row)
+    r = lanes[0]
+    for block in lanes[1:]:
+        r += block
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for element in rest[:7]:
+        total += element
+    return total
+
+
+def _choice_cdf(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Cumulative distributions ``Generator.choice(p=w / w.sum())`` draws from, one per row.
+
+    Row i holds the weights w in its first ``lengths[i]`` entries and zeros
+    after them. For ``u = rng.random()``, the number of entries of row i
+    that are <= u is the index ``choice`` returns, bit for bit, from the same
+    RNG stream: it is ``searchsorted(u, side="right")`` on the same numbers,
+    and the padding entries come out as exactly 1.0, which no u reaches.
+    """
+    total = _row_sums(rows, lengths)
+    failed = (total <= 0) | ~np.isfinite(total)
+    if failed.any():
+        raise ValueError(f"selection weights tau ** alpha sum to {total[failed.argmax()]}; "
+                         f"use a smaller alpha")
+    cdf = (rows / total[:, None]).cumsum(axis=1)
+    cdf /= cdf[np.arange(len(rows)), lengths - 1, None]
     return cdf
 
 
-def _construct(
-    weights: np.ndarray,
-    params: AcoParams,
-    grid: PercentileGrid,
-    rng: np.random.Generator,
-    cdfs: dict[tuple[int, int, int], np.ndarray],
-) -> AntSolution:
-    """Pick num_cuts ascending percentile positions per attribute and realize cuts.
+def _construct(weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Pick num_cuts ascending percentile positions for every (ant, attribute) pair.
 
-    ``weights`` is tau^alpha. Each pick draws like ``Generator.choice`` with
-    probabilities proportional to the weights of the feasible positions.
-    Later picks are restricted above earlier ones; the upper bound leaves
-    room for the cuts still to come, so construction can never strand.
-    Percentile values falling on an attribute's min/max, or duplicating an
-    earlier cut (ties in the data), are dropped from the realized CutSet.
-    ``cdfs`` caches the distribution of each (attribute, previous pick,
-    upper bound); it is only valid for one ``weights`` matrix.
+    ``weights`` is tau^alpha, (n_attributes, 99). ``draws`` is (ants,
+    n_attributes, num_cuts) uniforms in [0, 1); pick c of a pair uses its
+    draw c. Each pick draws like ``Generator.choice`` with probabilities
+    proportional to the weights of the feasible positions. Later picks are
+    restricted above earlier ones; the upper bound leaves room for the cuts
+    still to come, so construction can never strand. Cut c is drawn for all
+    pairs at once. Returns the picked percentiles, int64, shaped like
+    ``draws``.
     """
-    k = params.num_cuts
-    draws = iter(rng.random(grid.n_attributes * k).tolist())
-    all_percentiles = []
-    all_cuts = []
-    for a in range(grid.n_attributes):
-        chosen = []
-        prev = 0
-        for c in range(k):
-            upper = N_POSITIONS - (k - c - 1)
-            cdf = cdfs.get((a, prev, upper))
-            if cdf is None:
-                cdf = cdfs[a, prev, upper] = _choice_cdf(weights[a, prev:upper])
-            prev += 1 + int(cdf.searchsorted(next(draws), side="right"))
-            chosen.append(prev)
-        all_percentiles.append(tuple(chosen))
-        raw = [float(grid.values[a, p - 1]) for p in chosen]
-        all_cuts.append(interior_cuts(raw, float(grid.minima[a]), float(grid.maxima[a])))
-    return AntSolution(tuple(all_percentiles), CutSet(tuple(all_cuts)))
+    n_ants, n_attributes, k = draws.shape
+    attributes = np.tile(np.arange(n_attributes), n_ants)
+    picks = np.empty(draws.shape, dtype=np.int64).reshape(-1, k)
+    prev = np.zeros(len(picks), dtype=np.int64)
+    for c, u in enumerate(draws.reshape(-1, k).T):
+        upper = N_POSITIONS - (k - c - 1)
+        feasible = np.zeros((n_attributes, 2 * N_POSITIONS))
+        feasible[:, :upper] = weights[:, :upper]
+        # row i: the weights of positions prev[i] + 1 .. upper, then zeros
+        rows = sliding_window_view(feasible, N_POSITIONS, axis=1)[attributes, prev]
+        cdf = _choice_cdf(rows, upper - prev)
+        prev = prev + 1 + (cdf <= u[:, None]).sum(axis=1)
+        picks[:, c] = prev
+    return picks.reshape(draws.shape)
+
+
+def _realize(grid: PercentileGrid, picks: np.ndarray) -> CutSet:
+    """Cut values of one ant's (n_attributes, num_cuts) picks.
+
+    Percentile values falling on an attribute's min/max, or duplicating an
+    earlier cut (ties in the data), are dropped.
+    """
+    return CutSet(tuple(
+        interior_cuts([float(grid.values[a, p - 1]) for p in ps],
+                      float(grid.minima[a]), float(grid.maxima[a]))
+        for a, ps in enumerate(picks.tolist())
+    ))
 
 
 def evaluate_solution(
@@ -240,20 +279,35 @@ class _RankedSplit:
         return wrong / self.validation_decisions.size
 
 
+def _deposit(
+    model: PheromoneModel, percentiles: np.ndarray, costs: np.ndarray, params: AcoParams
+) -> PheromoneModel:
+    """Evaporate, then deposit q/cost on every position each ant selected.
+
+    ``percentiles`` is (ants, n_attributes, num_cuts) and ``costs`` is (ants,).
+    Deposits are added in (ant, attribute, pick) order.
+    """
+    amounts = params.q_deposit / np.maximum(costs, COST_FLOOR)
+    deposits = np.zeros_like(model.tau)
+    attributes = np.arange(model.n_attributes)[:, None]
+    np.add.at(deposits, (attributes, percentiles - 1), amounts[:, None, None])
+    tau = np.maximum((1.0 - params.rho) * model.tau + deposits, TAU_FLOOR)
+    return PheromoneModel(tau)
+
+
 def update_pheromones(
     model: PheromoneModel, solutions: Sequence[AntSolution], params: AcoParams
 ) -> PheromoneModel:
-    """Evaporate, then deposit q/cost on every position each ant selected."""
-    deposits = np.zeros_like(model.tau)
-    for solution in solutions:
-        if solution.cost is None:
-            raise ValueError("all solutions must be evaluated before the pheromone update")
-        amount = params.q_deposit / max(solution.cost, COST_FLOOR)
-        for a, positions in enumerate(solution.percentiles):
-            for p in positions:
-                deposits[a, p - 1] += amount
-    tau = np.maximum((1.0 - params.rho) * model.tau + deposits, TAU_FLOOR)
-    return PheromoneModel(tau)
+    """Evaporate, then deposit q/cost on every position each ant selected.
+
+    Every solution picks the same number of positions for each attribute.
+    """
+    if any(solution.cost is None for solution in solutions):
+        raise ValueError("all solutions must be evaluated before the pheromone update")
+    percentiles = np.array([s.percentiles for s in solutions], dtype=np.int64)
+    costs = np.array([s.cost for s in solutions], dtype=np.float64)
+    shape = (len(solutions), model.n_attributes, -1 if solutions else 0)
+    return _deposit(model, percentiles.reshape(shape), costs, params)
 
 
 def optimize(
@@ -268,7 +322,8 @@ def optimize(
     parts (seeded by params.seed); candidate cut values are the integer
     percentiles of the full training table. Each ant draws from its own RNG
     stream keyed by (seed, iteration, ant index), so a fixed seed gives a
-    fixed search.
+    fixed search. Only an ant that lowers the running best becomes an
+    ``AntSolution``; ties keep the earliest discovery.
     """
     try:
         fit, validation = split(train, SplitSpec(train_fraction=FIT_FRACTION, seed=params.seed))
@@ -285,22 +340,21 @@ def optimize(
 
     best: AntSolution | None = None
     history: list[IterationStats] = []
+    shape = (params.num_ants, grid.n_attributes, params.num_cuts)
     for iteration in range(params.num_iterations):
+        draws = np.stack([
+            np.random.default_rng((params.seed, iteration, ant)).random(shape[1] * shape[2])
+            for ant in range(params.num_ants)
+        ]).reshape(shape)
         # a tau ** alpha that overflows fails _choice_cdf's check, not with a numpy warning
         with np.errstate(over="ignore"):
-            weights = model.tau ** params.alpha
-            cdfs: dict[tuple[int, int, int], np.ndarray] = {}
-            solutions = [
-                _construct(weights, params, grid,
-                           np.random.default_rng((params.seed, iteration, ant)), cdfs)
-                for ant in range(params.num_ants)
-            ]
-        costs = ranked.costs(np.array([s.percentiles for s in solutions], dtype=np.int64))
-        for solution, cost in zip(solutions, costs.tolist()):
-            solution.cost = cost
-            if best is None or cost < best.cost:  # ties keep the earliest discovery
-                best = solution
-        model = update_pheromones(model, solutions, params)
+            percentiles = _construct(model.tau ** params.alpha, draws)
+        costs = ranked.costs(percentiles)
+        ant = int(costs.argmin())  # ties keep the earliest discovery
+        if best is None or costs[ant] < best.cost:
+            best = AntSolution(tuple(map(tuple, percentiles[ant].tolist())),
+                               _realize(grid, percentiles[ant]), float(costs[ant]))
+        model = _deposit(model, percentiles, costs, params)
         stats = IterationStats(iteration=iteration, best_cost=best.cost, mean_cost=float(costs.mean()))
         history.append(stats)
         if progress is not None:

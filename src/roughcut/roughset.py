@@ -94,6 +94,9 @@ class RuleSet:
             array = np.array(getattr(self, name), dtype=dtype)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        for a, count in enumerate(self.attribute_bin_counts):
+            if not 1 <= count < 2**63:
+                raise ValueError(f"attribute_bin_counts entry {a}: {count} is not in [1, 2**63)")
         per_rule = (self.decisions.size,)
         if self.conditions.shape != per_rule + (len(self.attribute_bin_counts),) or any(
                 a.shape != per_rule for a in (self.decisions, self.supports, self.confidences)):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import chisquare
 
+import roughcut.aco as aco
 from roughcut import (
     AcoParams,
     AntSolution,
@@ -22,7 +23,17 @@ from roughcut import (
     update_pheromones,
     write_history_csv,
 )
-from roughcut.aco import COST_FLOOR, KEY_LIMIT, N_POSITIONS, TAU_FLOOR, _construct, _RankedSplit
+from roughcut.aco import (
+    COST_FLOOR,
+    KEY_LIMIT,
+    N_POSITIONS,
+    TAU_FLOOR,
+    _construct,
+    _deposit,
+    _RankedSplit,
+    _realize,
+    _row_sums,
+)
 from roughcut.discretize import interior_cuts
 
 
@@ -44,13 +55,9 @@ def random_train_table(rng, n=60, m=2):
 
 def single_cut_picks(tau, alpha, n_draws, seed):
     """Percentile picked by each of n_draws one-attribute, one-cut ants."""
-    table = random_train_table(np.random.default_rng(500), n=40, m=1)
-    grid = PercentileGrid.from_table(table)
-    params = AcoParams(num_cuts=1, alpha=alpha)
     weights = np.asarray(tau, dtype=np.float64).reshape(1, N_POSITIONS) ** alpha
-    rng = np.random.default_rng(seed)
-    return np.array([_construct(weights, params, grid, rng, {}).percentiles[0][0]
-                     for _ in range(n_draws)])
+    draws = np.random.default_rng(seed).random((n_draws, 1, 1))
+    return _construct(weights, draws)[:, 0, 0]
 
 
 def test_selection_uniform_is_uniform():
@@ -64,13 +71,9 @@ def test_selection_uniform_is_uniform():
 def test_selection_singleton_is_certain():
     # 99 cuts leave exactly one feasible position for every pick
     rng = np.random.default_rng(503)
-    table = random_train_table(rng, n=40, m=2)
-    grid = PercentileGrid.from_table(table)
-    params = AcoParams(num_cuts=N_POSITIONS, alpha=1.0)
-    weights = rng.uniform(0.05, 20.0, (2, N_POSITIONS)) ** params.alpha
-    for _ in range(50):
-        solution = _construct(weights, params, grid, rng, {})
-        assert solution.percentiles == (tuple(range(1, 100)),) * 2
+    weights = rng.uniform(0.05, 20.0, (2, N_POSITIONS))
+    picks = _construct(weights, rng.random((50, 2, N_POSITIONS)))
+    assert (picks == np.arange(1, 100)).all()
 
 
 def test_selection_follows_pheromone_ratio():
@@ -86,27 +89,19 @@ def test_construct_solution_orders_positions():
     rng = np.random.default_rng(505)
     table = random_train_table(rng, n=80, m=3)
     grid = PercentileGrid.from_table(table)
-    params = AcoParams(num_cuts=2, seed=0)
-    weights = initial_model(3).tau ** params.alpha
-    gen = np.random.default_rng(506)
-    for _ in range(200):
-        solution = _construct(weights, params, grid, gen, {})
-        for pair in solution.percentiles:
-            i, j = pair
+    weights = initial_model(3).tau ** AcoParams().alpha
+    picks = _construct(weights, np.random.default_rng(506).random((200, 3, 2)))
+    assert picks.shape == (200, 3, 2) and picks.dtype == np.int64
+    for ant in picks:
+        for i, j in ant:
             assert 1 <= i < j <= N_POSITIONS
-        assert solution.cuts.n_attributes == 3
+        assert _realize(grid, ant).n_attributes == 3
 
 
 def test_construct_solution_single_cut():
-    rng = np.random.default_rng(507)
-    table = random_train_table(rng, n=40, m=1)
-    grid = PercentileGrid.from_table(table)
-    params = AcoParams(num_cuts=1, seed=0)
-    weights = initial_model(1).tau ** params.alpha
-    gen = np.random.default_rng(508)
-    for _ in range(100):
-        (pos,) = _construct(weights, params, grid, gen, {}).percentiles[0]
-        assert 1 <= pos <= N_POSITIONS
+    weights = initial_model(1).tau ** AcoParams().alpha
+    picks = _construct(weights, np.random.default_rng(508).random((100, 1, 1)))
+    assert ((1 <= picks) & (picks <= N_POSITIONS)).all()
 
 
 def test_construct_solution_collapses_tied_percentiles():
@@ -119,14 +114,12 @@ def test_construct_solution_collapses_tied_percentiles():
     decisions = (plateau > 4.0).astype(np.int64)
     table = make_table(plateau, decisions)
     grid = PercentileGrid.from_table(table)
-    params = AcoParams(num_cuts=2, seed=0)
-    weights = initial_model(1).tau ** params.alpha
-    gen = np.random.default_rng(510)
+    weights = initial_model(1).tau ** AcoParams().alpha
     lengths = set()
-    for _ in range(40):
-        solution = _construct(weights, params, grid, gen, {})
-        lengths.add(len(solution.cuts.cuts_per_attribute[0]))
-        assert len(solution.cuts.cuts_per_attribute[0]) <= 2
+    for ant in _construct(weights, np.random.default_rng(510).random((40, 1, 2))):
+        cuts = _realize(grid, ant).cuts_per_attribute[0]
+        lengths.add(len(cuts))
+        assert len(cuts) <= 2
     assert min(lengths) < 2
 
 
@@ -135,11 +128,10 @@ def test_construct_solution_constant_attribute_yields_no_cuts():
     decisions = (np.arange(30) >= 15).astype(np.int64)
     table = make_table(values, decisions)
     grid = PercentileGrid.from_table(table)
-    params = AcoParams(num_cuts=2, seed=0)
-    solution = _construct(initial_model(2).tau ** params.alpha, params, grid,
-                          np.random.default_rng(511), {})
-    assert solution.cuts.cuts_per_attribute[0] == ()
-    assert len(solution.percentiles[0]) == 2
+    weights = initial_model(2).tau ** AcoParams().alpha
+    (ant,) = _construct(weights, np.random.default_rng(511).random((1, 2, 2)))
+    assert _realize(grid, ant).cuts_per_attribute[0] == ()
+    assert len(ant[0]) == 2
 
 
 def test_evaluate_solution_perfect_and_hopeless():
@@ -195,8 +187,6 @@ def test_evaluate_solution_matches_straight_line_oracle():
 
 def test_construct_solution_draws_like_rng_choice():
     rng = np.random.default_rng(521)
-    table = random_train_table(rng, n=80, m=3)
-    grid = PercentileGrid.from_table(table)
     model = PheromoneModel(rng.uniform(0.05, 20.0, (3, N_POSITIONS)))
     params = AcoParams(num_cuts=3, alpha=1.3)
     weights = model.tau ** params.alpha
@@ -210,18 +200,46 @@ def test_construct_solution_draws_like_rng_choice():
                 w = model.tau[a, positions - 1] ** params.alpha
                 prev = int(gen.choice(positions, p=w / w.sum()))
                 chosen.append(prev)
-            picks.append(tuple(chosen))
-        return tuple(picks)
+            picks.append(chosen)
+        return picks
 
     ours, theirs = np.random.default_rng(522), np.random.default_rng(522)
-    for _ in range(200):
-        assert _construct(weights, params, grid, ours, {}).percentiles == reference(theirs)
-        assert ours.random() == theirs.random()
-    # optimize's path: one distribution cache shared by the ants
-    cdfs = {}
-    for ant in range(100):
-        got = _construct(weights, params, grid, np.random.default_rng((7, 0, ant)), cdfs)
-        assert got.percentiles == reference(np.random.default_rng((7, 0, ant)))
+    picks = _construct(weights, ours.random((200, 3, params.num_cuts)))
+    for ant in picks:
+        assert ant.tolist() == reference(theirs)
+    assert ours.random() == theirs.random()
+    # optimize's path: each ant's own (seed, iteration, ant) stream
+    draws = np.stack([np.random.default_rng((7, 0, ant)).random(3 * params.num_cuts)
+                      for ant in range(100)]).reshape(100, 3, params.num_cuts)
+    for ant, got in enumerate(_construct(weights, draws)):
+        assert got.tolist() == reference(np.random.default_rng((7, 0, ant)))
+
+
+def row_sums_cases():
+    """Weight rows from subnormal to 1e300, and rows that sum to 0.0 and to inf."""
+    rng = np.random.default_rng(525)
+    spread = 10.0 ** rng.uniform(-320, 300, N_POSITIONS)
+    assert spread.min() < np.finfo(np.float64).tiny
+    return {
+        "uniform": rng.random(N_POSITIONS),
+        "subnormal-to-1e300": spread,
+        "zeros": np.zeros(N_POSITIONS),
+        "overflowing": 1e300 * rng.uniform(1, 1e8, N_POSITIONS),
+        "with-inf": np.where(rng.random(N_POSITIONS) < 0.1, np.inf, spread),
+    }
+
+
+@pytest.mark.parametrize("weights", [pytest.param(w, id=name) for name, w in row_sums_cases().items()])
+def test_row_sums_match_numpy_sum_bit_for_bit(weights):
+    starts, lengths = np.array([(start, n) for start in range(N_POSITIONS)
+                                for n in range(1, N_POSITIONS - start + 1)]).T
+    positions = starts[:, None] + np.arange(N_POSITIONS)
+    rows = np.where(np.arange(N_POSITIONS) < lengths[:, None],
+                    weights[np.minimum(positions, N_POSITIONS - 1)], 0.0)
+    with np.errstate(over="ignore"):
+        want = np.array([weights[start:start + n].sum() for start, n in zip(starts, lengths)])
+        got = _row_sums(rows, lengths)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def realize(grid, picks):
@@ -342,6 +360,30 @@ def test_update_pheromones_summed_deposits_without_evaporation():
     assert updated.tau[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_deposit_matches_the_per_solution_loop_bit_for_bit():
+    # five positions for 40 ants x 4 picks, so most entries take many deposits
+    rng = np.random.default_rng(526)
+    tau = rng.uniform(0.05, 20.0, (3, N_POSITIONS))
+    percentiles = rng.integers(1, 6, (40, 3, 4))
+    costs = np.where(rng.random(40) < 0.2, 0.0, rng.uniform(0.0, 0.5, 40))
+    params = AcoParams(rho=0.3, q_deposit=0.7)
+
+    deposits = np.zeros_like(tau)
+    for picks, cost in zip(percentiles.tolist(), costs.tolist()):
+        amount = params.q_deposit / max(cost, COST_FLOOR)
+        for a, positions in enumerate(picks):
+            for p in positions:
+                deposits[a, p - 1] += amount
+    want = np.maximum((1.0 - params.rho) * tau + deposits, TAU_FLOOR)
+
+    got = _deposit(PheromoneModel(tau), percentiles, costs, params).tau
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    solutions = [AntSolution(tuple(map(tuple, picks)), CutSet(((),) * 3), cost)
+                 for picks, cost in zip(percentiles.tolist(), costs.tolist())]
+    via_public = update_pheromones(PheromoneModel(tau), solutions, params).tau
+    np.testing.assert_array_equal(via_public.view(np.uint64), want.view(np.uint64))
+
+
 def test_update_pheromones_requires_costs():
     model = initial_model(1)
     ant = AntSolution(((5,),), CutSet(((0.5,),)))
@@ -401,6 +443,40 @@ def test_optimize_is_deterministic():
     assert best_a.percentiles == best_b.percentiles
     assert best_a.cost == best_b.cost
     assert history_a == history_b
+
+
+def test_optimize_realizes_cuts_only_for_a_new_best(monkeypatch):
+    # one CutSet per iteration that lowers the running best, for the earliest
+    # ant reaching the new minimum; every other ant stays a row of picks
+    # at this seed the best improves in three iterations, two of which hold
+    # more than one improving ant, and one a tie for the new minimum
+    rng = np.random.default_rng(534)
+    table = random_train_table(rng, n=200, m=4)
+    built, iterations = [], []
+    monkeypatch.setattr(aco, "CutSet", lambda cuts: built.append(cuts) or CutSet(cuts))
+    costs = _RankedSplit.costs
+
+    def recording_costs(self, percentiles):
+        iterations.append((percentiles.tolist(), costs(self, percentiles).tolist()))
+        return np.array(iterations[-1][1])
+
+    monkeypatch.setattr(_RankedSplit, "costs", recording_costs)
+    best, history = optimize(table, AcoParams(num_ants=6, num_iterations=30, seed=5))
+
+    grid = PercentileGrid.from_table(table)
+    expected, best_cost, best_picks = [], None, None
+    for picks, ant_costs in iterations:
+        improved = False
+        for ant_picks, cost in zip(picks, ant_costs):
+            if best_cost is None or cost < best_cost:
+                best_cost, best_picks, improved = cost, ant_picks, True
+        if improved:
+            expected.append(realize(grid, best_picks).cuts.cuts_per_attribute)
+    assert 1 < len(expected) < len(iterations)
+    assert built == expected
+    assert best.percentiles == tuple(map(tuple, best_picks))
+    assert best.cost == best_cost == history[-1].best_cost
+    assert best.cuts.cuts_per_attribute == expected[-1]
 
 
 def test_optimize_names_its_fit_validation_split_when_a_class_is_too_small():

@@ -396,6 +396,15 @@ def test_ruleset_from_json_rejects_malformed_rules():
         ruleset_from_json({**payload(), "default_decision": 0.5})
     with pytest.raises(ValueError, match="attribute_bin_counts entry 2.5 is not an integer"):
         ruleset_from_json({**payload(), "attribute_bin_counts": [3, 2.5]})
+    for counts, message in (([0, 2], r"entry 0: 0 is not in \[1, 2\*\*63\)"),
+                            ([3, -1], r"entry 1: -1 is not in \[1, 2\*\*63\)"),
+                            ([2**63, 2], r"entry 0: 9223372036854775808 is not in \[1, 2\*\*63\)")):
+        with pytest.raises(ValueError, match="attribute_bin_counts " + message):
+            ruleset_from_json({**payload(), "attribute_bin_counts": counts})
+        with pytest.raises(ValueError, match="attribute_bin_counts " + message):
+            ruleset_from_json({"rules": [], "default_decision": 0, "attribute_bin_counts": counts})
+    widest = ruleset_from_json({"rules": [], "default_decision": 0, "attribute_bin_counts": [2**63 - 1, 1]})
+    assert widest.attribute_bin_counts == (2**63 - 1, 1)
     # integral floats are the integers they spell
     assert ruleset_from_json(payload(decision=0.0, support=3.0)).lookup((2, 0)).support == 3
     # all three at once: the first bad rule field is reported
