@@ -447,9 +447,9 @@ def test_optimize_is_deterministic():
 
 def test_optimize_realizes_cuts_only_for_a_new_best(monkeypatch):
     # one CutSet per iteration that lowers the running best, for the earliest
-    # ant reaching the new minimum; every other ant stays a row of picks
-    # at this seed the best improves in three iterations, two of which hold
-    # more than one improving ant, and one a tie for the new minimum
+    # ant reaching the new minimum; every other ant stays a row of picks. At
+    # this seed the best improves in three iterations, two of which hold more
+    # than one improving ant, and one a tie for the new minimum.
     rng = np.random.default_rng(534)
     table = random_train_table(rng, n=200, m=4)
     built, iterations = [], []
