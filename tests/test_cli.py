@@ -176,6 +176,37 @@ def test_run_missing_data_file_fails_cleanly(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--discretizer", "efb"], ["compare"]])
+@pytest.mark.parametrize("source", ["--data", "--profile"])
+def test_missing_input_file_is_one_error_line(tmp_path, capsys, command, source):
+    missing = tmp_path / "nope"
+    flags = [source, str(missing)] if source == "--data" else ["--synth-n", "300", source, str(missing)]
+    out = tmp_path / "out"
+    assert main([*command, *flags, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert str(missing) in line
+    assert not out.exists()
+
+
+def test_run_efb_still_checks_the_colony_flags(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(run_args(out, extra=["--ants", "0"])) == 1
+    assert "num_ants" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flags_are_checked_before_any_file_is_read(tmp_path, capsys):
+    # split flags first, then colony flags, then the data source
+    out = tmp_path / "run"
+    args = ["run", "--discretizer", "efb", "--data", str(tmp_path / "nope.csv"),
+            "--train-frac", "2", "--ants", "0", "--out", str(out)]
+    assert main(args) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "train_fraction" in line
+    assert not out.exists()
+
+
 def generated_cells(tmp_path):
     """Header cells and data rows (lists of cells) of a 300-row `roughcut generate` CSV."""
     path = tmp_path / "generated.csv"
