@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from typing import Callable
@@ -23,59 +22,43 @@ from .metrics import EvaluationReport, evaluate_pipeline, report_to_json, roc_to
 from .roughset import ruleset_to_json
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One experiment arm: data source, split, discretizer choice, and outputs."""
-
-    data_path: Path | None
-    synth_n: int | None
-    profile_path: Path | None
-    split_spec: SplitSpec
-    discretizer: str
-    num_cuts: int
-    aco: AcoParams
-    output_dir: Path
-    clip: bool
-
-    def __post_init__(self):
-        if (self.data_path is None) == (self.synth_n is None):
-            raise ValueError("exactly one data source required: --data or --synth-n")
-        if self.data_path is not None and not self.data_path.is_file():
-            raise ValueError(f"data file not found: {self.data_path}")
-        if self.profile_path is not None and not self.profile_path.is_file():
-            raise ValueError(f"profile file not found: {self.profile_path}")
-        if self.discretizer not in ("efb", "aco", "both"):
-            raise ValueError(f"unknown discretizer {self.discretizer!r}")
+def _params(args) -> tuple[SplitSpec, AcoParams]:
+    """Check the workers, split and colony flags, in that order, before any file is read."""
+    if args.workers < 1:
+        raise ValueError("--workers must be positive")
+    split_spec = SplitSpec(train_fraction=args.train_frac, seed=args.seed)
+    params = AcoParams(num_ants=args.ants, num_iterations=args.iters, alpha=args.alpha,
+                       rho=args.rho, q_deposit=args.q, num_cuts=args.cuts, seed=args.seed)
+    return split_spec, params
 
 
-def _load_table(config: RunConfig) -> DecisionTable:
-    if config.data_path is not None:
-        table = load_csv(config.data_path)
+def _load_split(args, split_spec: SplitSpec) -> tuple[DecisionTable, DecisionTable]:
+    """Load --data or generate --synth-n objects, clip if asked, and split into train and test."""
+    if args.data is not None:
+        if args.profile is not None:
+            raise ValueError("--profile applies only to --synth-n")
+        table = load_csv(args.data)
     else:
-        profile = (
-            synth.load_profile(config.profile_path)
-            if config.profile_path
-            else synth.default_profile()
-        )
-        table = synth.generate(profile, config.synth_n, config.split_spec.seed)
-    if config.clip:
+        profile = synth.load_profile(args.profile) if args.profile else synth.default_profile()
+        table = synth.generate(profile, args.synth_n, args.seed)
+    if args.clip_outliers:
         table = clip_outliers(table)
-    return table
+    return split(table, split_spec)
 
 
 def _train_arm(
-    config: RunConfig, discretizer: str, train: DecisionTable, test: DecisionTable
+    discretizer: str, params: AcoParams, train: DecisionTable, test: DecisionTable
 ) -> tuple[EvaluationReport, CutSet, list]:
     """Compute cuts with one discretizer, then evaluate; returns report, cuts, history."""
     history = []
     t0 = perf_counter()
     if discretizer == "efb":
-        cuts = efb_cuts(train, config.num_cuts)
+        cuts = efb_cuts(train, params.num_cuts)
     else:
         def progress(stats):
             print(f"iteration {stats.iteration}: best_cost={stats.best_cost:.6f}", file=sys.stderr)
 
-        best, history = optimize(train, config.aco, progress=progress)
+        best, history = optimize(train, params, progress=progress)
         cuts = best.cuts
     cut_time = perf_counter() - t0
     report = evaluate_pipeline(train, test, cuts, cut_time_s=cut_time)
@@ -83,10 +66,7 @@ def _train_arm(
 
 
 def _report_payload(report: EvaluationReport, discretizer: str, seed: int) -> dict:
-    payload = {"discretizer": discretizer}
-    payload.update(report_to_json(report))
-    payload["seed"] = seed
-    return payload
+    return {"discretizer": discretizer, **report_to_json(report), "seed": seed}
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -134,19 +114,18 @@ def cmd_generate(args) -> int:
         raise ValueError(f"--n must be at least {synth.MIN_OBJECTS}")
     profile = synth.load_profile(args.profile) if args.profile else synth.default_profile()
     table = synth.generate(profile, args.n, args.seed)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(table, out)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(table, args.out)
     healthy, faulty = table.class_counts()
-    print(f"wrote {out}: {table.n_objects} objects, {healthy} healthy / {faulty} faulty")
+    print(f"wrote {args.out}: {table.n_objects} objects, {healthy} healthy / {faulty} faulty")
     return 0
 
 
-def cmd_run(config: RunConfig) -> int:
-    table = _load_table(config)
-    train, test = split(table, config.split_spec)
-    report, cuts, history = _train_arm(config, config.discretizer, train, test)
-    payload = _report_payload(report, config.discretizer, config.split_spec.seed)
+def cmd_run(args) -> int:
+    split_spec, params = _params(args)
+    train, test = _load_split(args, split_spec)
+    report, cuts, history = _train_arm(args.discretizer, params, train, test)
+    payload = _report_payload(report, args.discretizer, args.seed)
     payload["cuts_file"] = "cuts.json"
 
     writers = {
@@ -155,23 +134,23 @@ def cmd_run(config: RunConfig) -> int:
         "cuts.json": lambda path: _write_json(cuts_to_json(cuts, train.attribute_names), path),
         "roc.csv": lambda path: roc_to_csv(report.curve, path),
     }
-    if config.discretizer == "aco":
+    if args.discretizer == "aco":
         writers["convergence.csv"] = lambda path: write_history_csv(history, path)
-    _write_outputs(config.output_dir, writers)
+    _write_outputs(args.out, writers)
     print(
-        f"{config.discretizer}: accuracy={report.accuracy:.4f} auc={report.auc:.4f} "
-        f"rules={report.num_rules} -> {config.output_dir}"
+        f"{args.discretizer}: accuracy={report.accuracy:.4f} auc={report.auc:.4f} "
+        f"rules={report.num_rules} -> {args.out}"
     )
     return 0
 
 
-def cmd_compare(config: RunConfig) -> int:
-    table = _load_table(config)
-    train, test = split(table, config.split_spec)  # one shared split for both arms
+def cmd_compare(args) -> int:
+    split_spec, params = _params(args)
+    train, test = _load_split(args, split_spec)  # one shared split for both arms
 
     reports: dict[str, EvaluationReport] = {}
     for arm in ("efb", "aco"):
-        reports[arm], _, _ = _train_arm(config, arm, train, test)
+        reports[arm], _, _ = _train_arm(arm, params, train, test)
 
     deltas = {
         "accuracy": reports["aco"].accuracy - reports["efb"].accuracy,
@@ -180,13 +159,13 @@ def cmd_compare(config: RunConfig) -> int:
         "train_time_s": reports["aco"].train_time_s - reports["efb"].train_time_s,
     }
     payload = {
-        "efb": _report_payload(reports["efb"], "efb", config.split_spec.seed),
-        "aco": _report_payload(reports["aco"], "aco", config.split_spec.seed),
+        "efb": _report_payload(reports["efb"], "efb", args.seed),
+        "aco": _report_payload(reports["aco"], "aco", args.seed),
         "deltas": deltas,
         "test_objects": test.n_objects,
     }
     text = _comparison_text(reports)
-    _write_outputs(config.output_dir, {
+    _write_outputs(args.out, {
         "compare.json": lambda path: _write_json(payload, path),
         "compare.txt": lambda path: path.write_text(text, encoding="utf-8"),
     })
@@ -212,30 +191,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.09, help="ACO: pheromone exponent (default 0.09)")
     parser.add_argument("--rho", type=float, default=0.9, help="ACO: evaporation constant (default 0.9)")
     parser.add_argument("--q", type=float, default=1.0, help="ACO: deposit constant (default 1.0)")
-
-
-def _config_from_args(args, discretizer: str) -> RunConfig:
-    if args.workers < 1:
-        raise ValueError("--workers must be positive")
-    return RunConfig(
-        data_path=args.data,
-        synth_n=args.synth_n,
-        profile_path=args.profile,
-        split_spec=SplitSpec(train_fraction=args.train_frac, seed=args.seed),
-        discretizer=discretizer,
-        num_cuts=args.cuts,
-        aco=AcoParams(
-            num_ants=args.ants,
-            num_iterations=args.iters,
-            alpha=args.alpha,
-            rho=args.rho,
-            q_deposit=args.q,
-            num_cuts=args.cuts,
-            seed=args.seed,
-        ),
-        output_dir=args.out,
-        clip=args.clip_outliers,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,8 +222,8 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "run":
-            return cmd_run(_config_from_args(args, args.discretizer))
-        return cmd_compare(_config_from_args(args, "both"))
+            return cmd_run(args)
+        return cmd_compare(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

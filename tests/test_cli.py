@@ -7,7 +7,7 @@ import pytest
 
 from roughcut import (
     GAS_NAMES, SplitSpec, accuracy, apply_cuts, auc, classify_table, confusion, cuts_from_json,
-    default_profile, generate, load_csv, roc, ruleset_from_json, split,
+    default_profile, generate, load_csv, profile_to_json, roc, ruleset_from_json, split,
 )
 from roughcut.cli import main
 
@@ -186,6 +186,20 @@ def test_missing_input_file_is_one_error_line(tmp_path, capsys, command, source)
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
     assert str(missing) in line
+    assert not out.exists()
+
+
+def test_profile_with_data_is_rejected(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    profile_path = tmp_path / "profile.json"
+    assert main(["generate", "--n", "50", "--out", str(csv_path)]) == 0
+    profile_path.write_text(json.dumps(profile_to_json(default_profile())))
+    capsys.readouterr()
+    out = tmp_path / "run"
+    args = ["run", "--discretizer", "efb", "--data", str(csv_path),
+            "--profile", str(profile_path), "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --profile applies only to --synth-n"]
     assert not out.exists()
 
 
