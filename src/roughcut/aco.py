@@ -26,7 +26,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import DecisionTable, SplitSpec, split
 from .discretize import CutSet, apply_cuts, interior_cuts, percentile_value_grid
-from .roughset import KEY_LIMIT  # noqa: F401 -- the cost pass's key limit, importable here too
 from .roughset import _row_keys, classify_table, induce_rules
 
 N_POSITIONS = 99  # candidate percentiles 1..99

@@ -169,7 +169,8 @@ def _row_keys(
     of those sorted partial keys, -1 where absent (a negative key stays
     negative, so it never matches). Returns the keys and the distinct partial
     keys renumbered with. Two keys are equal exactly when their rows are,
-    however wide the table.
+    however wide the table; a count too large for even the renumbered keys
+    to stay within KEY_LIMIT raises ValueError.
     """
     keys, radix, renumbered = None, 1, []
     for bins, count in columns:
@@ -184,6 +185,8 @@ def _row_keys(
                     keys = _find(distinct, keys)
                 renumbered.append(distinct)
                 radix = distinct.size
+                if radix * count > KEY_LIMIT:
+                    raise ValueError(f"bin count {count} is too large to key {radix} distinct row prefixes")
             keys *= count
             keys += bins
         radix *= count

@@ -25,7 +25,6 @@ from roughcut import (
 )
 from roughcut.aco import (
     COST_FLOOR,
-    KEY_LIMIT,
     N_POSITIONS,
     TAU_FLOOR,
     _construct,
@@ -35,6 +34,7 @@ from roughcut.aco import (
     _row_sums,
 )
 from roughcut.discretize import interior_cuts
+from roughcut.roughset import KEY_LIMIT
 
 
 def make_table(values, decisions):

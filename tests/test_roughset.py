@@ -588,3 +588,14 @@ def test_classify_table_matches_dict_reference(case):
     assert scores.tolist() == expected_scores
     for row, decision, score in zip(queries.tolist(), expected_decisions, expected_scores):
         assert classify(rules, row) == (decision, score)
+
+
+def test_a_bin_count_too_large_to_key_is_an_error():
+    # After renumbering, five distinct first bins times 2**62 still pass KEY_LIMIT;
+    # unchecked, the int64 keys of rows 0 and 4 wrapped to the same value.
+    rows, counts = [[b, 5] for b in range(5)], (5, 2**62)
+    message = f"bin count {2**62} is too large"
+    with pytest.raises(ValueError, match=message):
+        partition(DiscretizedTable(rows, [0, 1, 0, 1, 0], counts), [0, 1])
+    with pytest.raises(ValueError, match=message):
+        RuleSet(rows, [0, 1, 0, 1, 0], [1] * 5, [1.0] * 5, 0, counts)
