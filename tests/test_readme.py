@@ -1,11 +1,18 @@
-"""The README's Library example runs as written, and the names it lists exist."""
+"""The README's command-line and Library examples run as written, and the names it lists exist."""
 
 import re
+import shlex
 from pathlib import Path
 
 import roughcut
+from roughcut import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# What the README lists for `run` (convergence.csv is ACO only) and `compare`.
+OUTPUT_FILES = {
+    "run": ("report.json", "rules.json", "cuts.json", "roc.csv"),
+    "compare": ("compare.json", "compare.txt"),
+}
 
 
 def test_readme_library_example_runs(capsys):
@@ -27,3 +34,19 @@ def test_readme_lower_level_names_are_exported():
     assert names
     assert [name for name in names if name not in roughcut.__all__] == []
     assert len(set(roughcut.__all__)) == len(roughcut.__all__)
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    for names in OUTPUT_FILES.values():
+        assert [name for name in names if f"`{name}`" not in text] == []
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text, flags=re.S | re.M)
+    commands = [block.strip() for info, block in blocks if not info and block.startswith("roughcut ")]
+    assert len(commands) == 3
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        assert cli.main(argv) == 0, command
+        out = Path(argv[argv.index("--out") + 1])
+        written = [out] if argv[0] == "generate" else [out / name for name in OUTPUT_FILES[argv[0]]]
+        assert [path for path in written if not path.is_file()] == [], command
