@@ -17,14 +17,19 @@ from roughcut import (
     DecisionTable,
     PercentileGrid,
     PheromoneModel,
+    SplitSpec,
+    default_profile,
     evaluate_solution,
+    generate,
     initial_model,
     optimize,
+    split,
     update_pheromones,
     write_history_csv,
 )
 from roughcut.aco import (
     COST_FLOOR,
+    FIT_FRACTION,
     N_POSITIONS,
     TAU_FLOOR,
     _construct,
@@ -252,10 +257,15 @@ def realize(grid, picks):
     return AntSolution(tuple(map(tuple, picks)), CutSet(cuts))
 
 
-def assert_batched_costs_match(fit, validation, picks):
+def joint_grid(fit, validation):
+    """The percentile grid of fit and validation together, as optimize grids its training table."""
     train = DecisionTable(fit.attribute_names, np.concatenate([fit.values, validation.values]),
                           np.concatenate([fit.decisions, validation.decisions]))
-    grid = PercentileGrid.from_table(train)
+    return PercentileGrid.from_table(train)
+
+
+def assert_batched_costs_match(fit, validation, picks, grid=None):
+    grid = joint_grid(fit, validation) if grid is None else grid
     costs = _RankedSplit(grid, fit, validation).costs(np.asarray(picks, dtype=np.int64))
     expected = [evaluate_solution(realize(grid, p), fit, validation) for p in picks]
     assert costs.tolist() == expected
@@ -333,6 +343,48 @@ def test_batched_costs_renumber_wide_keys():
     assert 4 * (num_cuts + 1) ** 15 > KEY_LIMIT
     costs = assert_batched_costs_match(fit, validation, picks)
     assert len(set(costs)) > 1
+
+
+@settings(deadline=None)
+@given(case=colony_cases(), seed=st.integers(0, 2**32 - 1))
+@example(case=edge_case(), seed=0)
+@example(case=(make_table([[1.0, 1.0], [2.0, 0.0]], [0, 1]), make_table([[3.0, 3.0]], [0]),
+               [((88,), (72,)), ((39,), (61,))]), seed=0)
+def test_batched_costs_do_not_depend_on_the_batch(case, seed):
+    # an ant's cost is the same whichever ants share its batch, in whatever order.
+    # In the second example the first ant keeps no cut, and the second ant's
+    # last sorted row is its validation row alone in a cell, so a cell put in
+    # the wrong ant's block at a block edge moves an error between the ants.
+    fit, validation, picks = case
+    picks = np.asarray(picks, dtype=np.int64)
+    ranked = _RankedSplit(joint_grid(fit, validation), fit, validation)
+    costs = ranked.costs(picks)
+    order = np.random.default_rng(seed).permutation(len(picks))
+    assert ranked.costs(picks[order]).tolist() == costs[order].tolist()
+    assert [ranked.costs(ant[None]).item() for ant in picks] == costs.tolist()
+
+
+def test_batched_costs_at_the_compare_2k_shape():
+    # the fit and validation parts of `roughcut compare --synth-n 2000 --seed 1`
+    train, _ = split(generate(default_profile(), 2000, 1), SplitSpec(train_fraction=0.7, seed=1))
+    fit, validation = split(train, SplitSpec(train_fraction=FIT_FRACTION, seed=1))
+    assert (fit.n_objects, validation.n_objects, fit.n_attributes) == (1120, 280, 9)
+    grid = PercentileGrid.from_table(train)
+    weights = initial_model(9).tau ** AcoParams().alpha
+    picks = _construct(weights, np.random.default_rng(535).random((10, 9, 2)))
+    costs = assert_batched_costs_match(fit, validation, picks, grid)
+    assert len(set(costs)) > 1
+    # 99 cuts: every position is picked, so every rank is its own bin
+    every = _construct(weights, np.random.default_rng(536).random((3, 9, N_POSITIONS)))
+    assert_batched_costs_match(fit, validation, every, grid)
+    # no pick lies strictly above a minimum raised to the 99th percentile,
+    # so the ant keeps no cut and every row shares one cell
+    raised = PercentileGrid(grid.values, grid.values[:, -1], grid.maxima)
+    assert not any(realize(raised, picks[0]).cuts.cuts_per_attribute)
+    ones = int(fit.decisions.sum())
+    majority = 1 if ones >= fit.n_objects - ones else 0
+    assert assert_batched_costs_match(fit, validation, picks[:1], raised) == [
+        float((validation.decisions != majority).mean())]
 
 
 def test_update_pheromones_evaporation_only():
