@@ -9,10 +9,11 @@ proportion to 1/cost.
 
 ``optimize`` handles all ants of an iteration at once: ``_construct`` draws
 cut c for every (ant, attribute) pair in one array pass, ``_RankedSplit``
-costs every ant in one pass over grid ranks, and ``_deposit`` adds every
-ant's pheromone with one ``np.add.at``. Picks stay an int64 array; cut
-values are realized (``_realize``) only for an ant that lowers the running
-best. ``evaluate_solution`` is the same cost for one ant.
+costs every ant through per-ant rank -> bin lookup tables and one sort of
+decision-tagged cell keys, and ``_deposit`` adds every ant's pheromone with
+one ``np.add.at``. Picks stay an int64 array; cut values are realized
+(``_realize``) only for an ant that lowers the running best.
+``evaluate_solution`` is the same cost for one ant.
 """
 
 from __future__ import annotations
@@ -224,11 +225,12 @@ def evaluate_solution(
 class _RankedSplit:
     """Fit and validation objects ranked once against a percentile grid.
 
-    Every realized cut is a grid value, so with ``rank`` the number of grid
-    values <= an object's value, the object's bin under an ant's cuts is the
-    number of the ant's kept percentiles p with ``rank >= p``. A percentile
-    is kept when ``interior_cuts`` keeps its value: strictly inside the
-    attribute's (min, max) and above the previous pick's value.
+    Every realized cut is a grid value, so with ``rank`` (0..99) the number
+    of grid values <= an object's value, the object's bin under an ant's
+    cuts is the number of its kept percentiles p <= rank. A percentile is
+    kept when ``interior_cuts`` keeps its value: strictly inside the
+    attribute's (min, max) and above the previous pick's value. A row's
+    code is 0 or 1 for a fit row of that class, 2 or 3 for a validation row.
     """
 
     def __init__(self, grid: PercentileGrid, fit: DecisionTable, validation: DecisionTable):
@@ -239,43 +241,54 @@ class _RankedSplit:
             np.searchsorted(grid.values[a], values[:, a], side="right")
             for a in range(grid.n_attributes)
         ])
-        self.n_fit = fit.n_objects
-        self.fit_ones = fit.decisions == 1
-        self.validation_decisions = validation.decisions
+        self.codes = np.concatenate([fit.decisions, 2 + validation.decisions]).astype(np.uint64)
+        self.n_validation = validation.n_objects
         ones = int(fit.decisions.sum())
         self.prior = 1 if ones >= fit.n_objects - ones else 0
 
     def costs(self, percentiles: np.ndarray) -> np.ndarray:
         """``evaluate_solution`` of every ant in one pass.
 
-        ``percentiles`` is (ants, n_attributes, num_cuts). Rows are grouped by
-        the ``roughset`` cell key with the ant index as its leading column,
-        each attribute's bins built only when it is keyed; only keys that
-        occur are numbered, so no table spans the whole key space. Each cell
-        takes the fit majority, ties and cells without fit rows going to the
-        fit prior as in ``induce_rules``.
+        ``percentiles`` is (ants, n_attributes, num_cuts). Each (ant,
+        attribute) pair's bins are one ``take`` on the ranks from a uint8
+        rank -> bin table, the cumulated bincount of its kept percentiles.
+        Rows are keyed by the ``roughset`` cell key, ant first. Keys are below
+        KEY_LIMIT = 2**62, so ``key * 4 + code`` fits in uint64, and after one
+        sort of these decision-tagged keys each run of equal keys holds one
+        (cell, code) pair's rows. A cell takes the fit majority, ties and
+        cells without fit rows going to the fit prior as in ``induce_rules``.
+        The ant is the leading key digit, renumbering keeps the order of keys,
+        and every ant has one row per object, so ant i's rows are sorted
+        positions [i * rows, (i + 1) * rows): a cell's first row names its ant.
         """
         n_ants, n_attributes, k = percentiles.shape
         values = self.grid.values[np.arange(n_attributes)[:, None], percentiles - 1]
         kept = (values > self.grid.minima[:, None]) & (values < self.grid.maxima[:, None])
         kept[..., 1:] &= values[..., 1:] > values[..., :-1]
-        thresholds = np.where(kept, percentiles, N_POSITIONS + 1)[..., None]  # no rank reaches 100
+        # tables[a, i, r]: ant i's bin on attribute a for rank r
+        pairs = np.arange(n_attributes) * n_ants + np.arange(n_ants)[:, None]
+        slots = (pairs[..., None] * (N_POSITIONS + 1) + percentiles)[kept]
+        tables = np.bincount(slots, minlength=pairs.size * (N_POSITIONS + 1))
+        tables = tables.reshape(n_attributes, n_ants, N_POSITIONS + 1).cumsum(axis=2, dtype=np.uint8)
 
         n_rows = self.ranks.shape[1]
         ants = np.repeat(np.arange(n_ants, dtype=np.int64), n_rows)
-        bins = (((self.ranks[a] >= thresholds[:, a]).sum(axis=1).ravel(), k + 1)
-                for a in range(n_attributes))
+        bins = ((tables[a].take(self.ranks[a], axis=1).ravel(), k + 1) for a in range(n_attributes))
         keys, _ = _row_keys(itertools.chain([(ants, n_ants)], bins))
-        distinct, cells = np.unique(keys, return_inverse=True)
-        cells = cells.reshape(n_ants, n_rows)
+        keys = keys.view(np.uint64)
+        keys <<= 2
+        keys.reshape(n_ants, n_rows)[...] |= self.codes
+        keys.sort()
 
-        fit_cells = cells[:, :self.n_fit]
-        sizes = np.bincount(fit_cells.ravel(), minlength=distinct.size)
-        ones = np.bincount(fit_cells[:, self.fit_ones].ravel(), minlength=distinct.size)
-        zeros = sizes - ones
-        decisions = np.where(ones > zeros, 1, np.where(zeros > ones, 0, self.prior))
-        wrong = (decisions[cells[:, self.n_fit:]] != self.validation_decisions).sum(axis=1)
-        return wrong / self.validation_decisions.size
+        # one run of equal tagged keys per (cell, code) pair that occurs
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        tagged = keys[starts]
+        new_cell = np.concatenate(([True], tagged[1:] >> 2 != tagged[:-1] >> 2))
+        counts = np.zeros((new_cell.sum(), 4), dtype=np.int64)
+        counts[new_cell.cumsum() - 1, tagged & 3] = np.diff(starts, append=keys.size)
+        margin = counts[:, 1] - counts[:, 0]  # fit ones minus fit zeros
+        wrong = counts[np.arange(len(counts)), 3 - np.where(margin == 0, self.prior, margin > 0)]
+        return np.bincount(starts[new_cell] // n_rows, wrong, n_ants) / self.n_validation
 
 
 def _deposit(
