@@ -39,6 +39,8 @@ def _load_split(args, split_spec: SplitSpec) -> tuple[DecisionTable, DecisionTab
             raise ValueError("--profile applies only to --synth-n")
         table = load_csv(args.data)
     else:
+        if args.synth_n < synth.MIN_OBJECTS:
+            raise ValueError(f"--synth-n must be at least {synth.MIN_OBJECTS}")
         profile = synth.load_profile(args.profile) if args.profile else synth.default_profile()
         table = synth.generate(profile, args.synth_n, args.seed)
     if args.clip_outliers:

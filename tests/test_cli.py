@@ -203,6 +203,14 @@ def test_profile_with_data_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--discretizer", "aco"], ["compare"]])
+def test_too_small_synth_n_names_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([*command, "--synth-n", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --synth-n must be at least 10"]
+    assert not out.exists()
+
+
 def test_run_efb_still_checks_the_colony_flags(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(run_args(out, extra=["--ants", "0"])) == 1
