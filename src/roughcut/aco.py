@@ -265,7 +265,7 @@ class _RankedSplit:
         values = self.grid.values[np.arange(n_attributes)[:, None], percentiles - 1]
         kept = (values > self.grid.minima[:, None]) & (values < self.grid.maxima[:, None])
         kept[..., 1:] &= values[..., 1:] > values[..., :-1]
-        # tables[a, i, r]: ant i's bin on attribute a for rank r
+        # tables[a, i, r]: ant i's bin on attribute a for rank r, at most 99
         pairs = np.arange(n_attributes) * n_ants + np.arange(n_ants)[:, None]
         slots = (pairs[..., None] * (N_POSITIONS + 1) + percentiles)[kept]
         tables = np.bincount(slots, minlength=pairs.size * (N_POSITIONS + 1))
@@ -286,7 +286,7 @@ class _RankedSplit:
         new_cell = np.concatenate(([True], tagged[1:] >> 2 != tagged[:-1] >> 2))
         counts = np.zeros((new_cell.sum(), 4), dtype=np.int64)
         counts[new_cell.cumsum() - 1, tagged & 3] = np.diff(starts, append=keys.size)
-        margin = counts[:, 1] - counts[:, 0]  # fit ones minus fit zeros
+        margin = counts[:, 1] - counts[:, 0]  # deciding d, a cell gets code 3 - d wrong
         wrong = counts[np.arange(len(counts)), 3 - np.where(margin == 0, self.prior, margin > 0)]
         return np.bincount(starts[new_cell] // n_rows, wrong, n_ants) / self.n_validation
 
