@@ -12,7 +12,7 @@ cut c for every (ant, attribute) pair in one array pass, ``_RankedSplit``
 costs every ant through per-ant rank -> bin lookup tables and one sort of
 decision-tagged cell keys, and ``_deposit`` adds every ant's pheromone with
 one ``np.add.at``. Picks stay an int64 array; cut values are realized
-(``_realize``) only for an ant that lowers the running best.
+(``_RankedSplit.cuts``) only for an ant that lowers the running best.
 ``evaluate_solution`` is the same cost for one ant.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import DecisionTable, SplitSpec, split
-from .discretize import CutSet, apply_cuts, interior_cuts, percentile_value_grid
+from .discretize import CutSet, apply_cuts, percentile_value_grid
 from .roughset import _row_keys, classify_table, induce_rules
 
 N_POSITIONS = 99  # candidate percentiles 1..99
@@ -99,27 +99,6 @@ class IterationStats:
     iteration: int
     best_cost: float  # running best over all iterations so far
     mean_cost: float  # mean ant cost within this iteration
-
-
-@dataclass(frozen=True)
-class PercentileGrid:
-    """Realized cut candidates: nearest-rank percentile values of a table."""
-
-    values: np.ndarray  # (n_attributes, 99), percentile p at column p-1
-    minima: np.ndarray
-    maxima: np.ndarray
-
-    @classmethod
-    def from_table(cls, table: DecisionTable) -> "PercentileGrid":
-        return cls(
-            values=percentile_value_grid(table),
-            minima=table.values.min(axis=0),
-            maxima=table.values.max(axis=0),
-        )
-
-    @property
-    def n_attributes(self) -> int:
-        return self.values.shape[0]
 
 
 def initial_model(n_attributes: int) -> PheromoneModel:
@@ -200,19 +179,6 @@ def _construct(weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return picks.reshape(draws.shape)
 
 
-def _realize(grid: PercentileGrid, picks: np.ndarray) -> CutSet:
-    """Cut values of one ant's (n_attributes, num_cuts) picks.
-
-    Percentile values falling on an attribute's min/max, or duplicating an
-    earlier cut (ties in the data), are dropped.
-    """
-    return CutSet(tuple(
-        interior_cuts([float(grid.values[a, p - 1]) for p in ps],
-                      float(grid.minima[a]), float(grid.maxima[a]))
-        for a, ps in enumerate(picks.tolist())
-    ))
-
-
 def evaluate_solution(
     solution: AntSolution, train: DecisionTable, validation: DecisionTable
 ) -> float:
@@ -223,28 +189,46 @@ def evaluate_solution(
 
 
 class _RankedSplit:
-    """Fit and validation objects ranked once against a percentile grid.
+    """Fit and validation objects ranked once against their own percentile grid.
 
-    Every realized cut is a grid value, so with ``rank`` (0..99) the number
-    of grid values <= an object's value, the object's bin under an ant's
-    cuts is the number of its kept percentiles p <= rank. A percentile is
-    kept when ``interior_cuts`` keeps its value: strictly inside the
-    attribute's (min, max) and above the previous pick's value. A row's
-    code is 0 or 1 for a fit row of that class, 2 or 3 for a validation row.
+    The grid holds the nearest-rank percentile values of fit and validation
+    together, which is the training table ``optimize`` split, so every
+    realized cut is a grid value. With ``rank`` (0..99) the number of grid
+    values <= an object's value, the object's bin under an ant's cuts is the
+    number of its kept percentiles p <= rank. A row's code is 0 or 1 for a
+    fit row of that class, 2 or 3 for a validation row.
     """
 
-    def __init__(self, grid: PercentileGrid, fit: DecisionTable, validation: DecisionTable):
-        values = np.concatenate([fit.values, validation.values])
-        self.grid = grid
+    def __init__(self, fit: DecisionTable, validation: DecisionTable):
+        joint = DecisionTable(fit.attribute_names, np.concatenate([fit.values, validation.values]),
+                              np.concatenate([fit.decisions, validation.decisions]))
+        self.grid = percentile_value_grid(joint)  # (n_attributes, 99), percentile p at column p-1
+        self.minima = joint.values.min(axis=0)
+        self.maxima = joint.values.max(axis=0)
         # (n_attributes, fit rows then validation rows)
-        self.ranks = np.stack([
-            np.searchsorted(grid.values[a], values[:, a], side="right")
-            for a in range(grid.n_attributes)
-        ])
+        self.ranks = np.stack([np.searchsorted(grid, column, side="right")
+                               for grid, column in zip(self.grid, joint.values.T)])
         self.codes = np.concatenate([fit.decisions, 2 + validation.decisions]).astype(np.uint64)
         self.n_validation = validation.n_objects
         ones = int(fit.decisions.sum())
         self.prior = 1 if ones >= fit.n_objects - ones else 0
+
+    def _picked(self, percentiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid values of picks shaped (..., n_attributes, num_cuts), and which become cuts.
+
+        A pick becomes a cut when ``interior_cuts`` keeps its value: strictly
+        inside the attribute's (min, max) and above the previous pick's value
+        (ties in the data).
+        """
+        values = self.grid[np.arange(len(self.grid))[:, None], percentiles - 1]
+        kept = (values > self.minima[:, None]) & (values < self.maxima[:, None])
+        kept[..., 1:] &= values[..., 1:] > values[..., :-1]
+        return values, kept
+
+    def cuts(self, picks: np.ndarray) -> CutSet:
+        """The cut values of one ant's (n_attributes, num_cuts) picks."""
+        values, kept = self._picked(picks)
+        return CutSet(tuple(tuple(v[k].tolist()) for v, k in zip(values, kept)))
 
     def costs(self, percentiles: np.ndarray) -> np.ndarray:
         """``evaluate_solution`` of every ant in one pass.
@@ -262,9 +246,7 @@ class _RankedSplit:
         positions [i * rows, (i + 1) * rows): a cell's first row names its ant.
         """
         n_ants, n_attributes, k = percentiles.shape
-        values = self.grid.values[np.arange(n_attributes)[:, None], percentiles - 1]
-        kept = (values > self.grid.minima[:, None]) & (values < self.grid.maxima[:, None])
-        kept[..., 1:] &= values[..., 1:] > values[..., :-1]
+        _, kept = self._picked(percentiles)
         # tables[a, i, r]: ant i's bin on attribute a for rank r, at most 99
         pairs = np.arange(n_attributes) * n_ants + np.arange(n_ants)[:, None]
         slots = (pairs[..., None] * (N_POSITIONS + 1) + percentiles)[kept]
@@ -346,13 +328,12 @@ def optimize(
             f"with {zeros} objects of class 0 and {ones} of class 1 cannot hold both classes "
             f"in both parts"
         ) from exc
-    grid = PercentileGrid.from_table(train)
     model = initial_model(train.n_attributes)
-    ranked = _RankedSplit(grid, fit, validation)
+    ranked = _RankedSplit(fit, validation)
 
     best: AntSolution | None = None
     history: list[IterationStats] = []
-    shape = (params.num_ants, grid.n_attributes, params.num_cuts)
+    shape = (params.num_ants, train.n_attributes, params.num_cuts)
     for iteration in range(params.num_iterations):
         draws = np.stack([
             np.random.default_rng((params.seed, iteration, ant)).random(shape[1] * shape[2])
@@ -365,7 +346,7 @@ def optimize(
         ant = int(costs.argmin())  # ties keep the earliest discovery
         if best is None or costs[ant] < best.cost:
             best = AntSolution(tuple(map(tuple, percentiles[ant].tolist())),
-                               _realize(grid, percentiles[ant]), float(costs[ant]))
+                               ranked.cuts(percentiles[ant]), float(costs[ant]))
         model = _deposit(model, percentiles, costs, params)
         stats = IterationStats(iteration=iteration, best_cost=best.cost, mean_cost=float(costs.mean()))
         history.append(stats)

@@ -28,6 +28,9 @@ CSV_CHUNK_ROWS = 8192
 # The surrounding whitespace a CSV number may carry: the ASCII characters float() strips.
 CSV_SPACE = " \t\n\r\v\f"
 
+# The percentile range clip_outliers winsorizes each attribute to.
+CLIP_PERCENTILES = (0.5, 99.5)
+
 
 @dataclass(frozen=True)
 class DecisionTable:
@@ -226,16 +229,13 @@ def split(table: DecisionTable, spec: SplitSpec) -> tuple[DecisionTable, Decisio
     raise ValueError(f"could not produce a two-class split in {MAX_SPLIT_RETRIES} attempts")
 
 
-def clip_outliers(
-    table: DecisionTable, lower_pct: float = 0.5, upper_pct: float = 99.5
-) -> DecisionTable:
-    """Clip each attribute to its [lower_pct, upper_pct] percentile range.
+def clip_outliers(table: DecisionTable) -> DecisionTable:
+    """Clip each attribute to its CLIP_PERCENTILES range, [0.5, 99.5].
 
     Optional preprocessing step; reversible in the sense that no rows are
     removed, only extreme values winsorized.
     """
-    lo = np.percentile(table.values, lower_pct, axis=0)
-    hi = np.percentile(table.values, upper_pct, axis=0)
+    lo, hi = np.percentile(table.values, CLIP_PERCENTILES, axis=0)
     return DecisionTable(
         attribute_names=table.attribute_names,
         values=np.clip(table.values, lo, hi),

@@ -127,9 +127,7 @@ def percentile_to_cut(table: DecisionTable, attribute: int, p: int) -> float:
     """Nearest-rank p-th percentile of an attribute: the ceil(p*n/100)-th sorted value."""
     if not 1 <= p <= 99:
         raise ValueError("percentile must lie in [1, 99]")
-    col = np.sort(table.values[:, attribute])
-    rank = math.ceil(p * len(col) / 100)
-    return float(col[max(rank, 1) - 1])
+    return float(percentile_value_grid(table)[attribute, p - 1])
 
 
 def percentile_value_grid(table: DecisionTable) -> np.ndarray:

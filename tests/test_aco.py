@@ -15,7 +15,6 @@ from roughcut import (
     AntSolution,
     CutSet,
     DecisionTable,
-    PercentileGrid,
     PheromoneModel,
     SplitSpec,
     default_profile,
@@ -23,6 +22,7 @@ from roughcut import (
     generate,
     initial_model,
     optimize,
+    percentile_value_grid,
     split,
     update_pheromones,
     write_history_csv,
@@ -35,7 +35,6 @@ from roughcut.aco import (
     _construct,
     _deposit,
     _RankedSplit,
-    _realize,
     _row_sums,
 )
 from roughcut.discretize import interior_cuts
@@ -56,6 +55,11 @@ def random_train_table(rng, n=60, m=2):
     if decisions.sum() in (0, n):
         decisions[0] = 1 - decisions[0]
     return make_table(values, decisions)
+
+
+def ranked_split(table):
+    """``optimize``'s fit/validation split of a training table, ranked against its grid."""
+    return _RankedSplit(*split(table, SplitSpec(train_fraction=FIT_FRACTION, seed=0)))
 
 
 def single_cut_picks(tau, alpha, n_draws, seed):
@@ -93,14 +97,15 @@ def test_selection_follows_pheromone_ratio():
 def test_construct_solution_orders_positions():
     rng = np.random.default_rng(505)
     table = random_train_table(rng, n=80, m=3)
-    grid = PercentileGrid.from_table(table)
+    ranked = ranked_split(table)
     weights = initial_model(3).tau ** AcoParams().alpha
     picks = _construct(weights, np.random.default_rng(506).random((200, 3, 2)))
     assert picks.shape == (200, 3, 2) and picks.dtype == np.int64
     for ant in picks:
         for i, j in ant:
             assert 1 <= i < j <= N_POSITIONS
-        assert _realize(grid, ant).n_attributes == 3
+        cuts = ranked.cuts(ant)
+        assert cuts == realize(ranked, ant).cuts and cuts.n_attributes == 3
 
 
 def test_construct_solution_single_cut():
@@ -118,11 +123,12 @@ def test_construct_solution_collapses_tied_percentiles():
     ])
     decisions = (plateau > 4.0).astype(np.int64)
     table = make_table(plateau, decisions)
-    grid = PercentileGrid.from_table(table)
+    ranked = ranked_split(table)
     weights = initial_model(1).tau ** AcoParams().alpha
     lengths = set()
     for ant in _construct(weights, np.random.default_rng(510).random((40, 1, 2))):
-        cuts = _realize(grid, ant).cuts_per_attribute[0]
+        assert ranked.cuts(ant) == realize(ranked, ant).cuts
+        cuts = ranked.cuts(ant).cuts_per_attribute[0]
         lengths.add(len(cuts))
         assert len(cuts) <= 2
     assert min(lengths) < 2
@@ -132,10 +138,10 @@ def test_construct_solution_constant_attribute_yields_no_cuts():
     values = np.column_stack([np.full(30, 7.0), np.arange(30, dtype=float)])
     decisions = (np.arange(30) >= 15).astype(np.int64)
     table = make_table(values, decisions)
-    grid = PercentileGrid.from_table(table)
+    ranked = ranked_split(table)
     weights = initial_model(2).tau ** AcoParams().alpha
     (ant,) = _construct(weights, np.random.default_rng(511).random((1, 2, 2)))
-    assert _realize(grid, ant).cuts_per_attribute[0] == ()
+    assert ranked.cuts(ant).cuts_per_attribute[0] == ()
     assert len(ant[0]) == 2
 
 
@@ -247,28 +253,24 @@ def test_row_sums_match_numpy_sum_bit_for_bit(weights):
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def realize(grid, picks):
-    """The ant that picked these percentiles: cuts as interior_cuts keeps them."""
+def realize(ranked, picks):
+    """The ant that picked these percentiles: cuts as interior_cuts keeps them from ranked's grid."""
     cuts = tuple(
-        interior_cuts([float(grid.values[a, p - 1]) for p in ps],
-                      float(grid.minima[a]), float(grid.maxima[a]))
+        interior_cuts([float(ranked.grid[a, p - 1]) for p in ps],
+                      float(ranked.minima[a]), float(ranked.maxima[a]))
         for a, ps in enumerate(picks)
     )
     return AntSolution(tuple(map(tuple, picks)), CutSet(cuts))
 
 
-def joint_grid(fit, validation):
-    """The percentile grid of fit and validation together, as optimize grids its training table."""
-    train = DecisionTable(fit.attribute_names, np.concatenate([fit.values, validation.values]),
-                          np.concatenate([fit.decisions, validation.decisions]))
-    return PercentileGrid.from_table(train)
-
-
-def assert_batched_costs_match(fit, validation, picks, grid=None):
-    grid = joint_grid(fit, validation) if grid is None else grid
-    costs = _RankedSplit(grid, fit, validation).costs(np.asarray(picks, dtype=np.int64))
-    expected = [evaluate_solution(realize(grid, p), fit, validation) for p in picks]
-    assert costs.tolist() == expected
+def assert_batched_costs_match(fit, validation, picks):
+    """Every ant's batched cost and cuts against evaluate_solution and interior_cuts, one ant at a time."""
+    ranked = _RankedSplit(fit, validation)
+    picks = np.asarray(picks, dtype=np.int64)
+    ants = [realize(ranked, p) for p in picks]
+    assert [ranked.cuts(p) for p in picks] == [ant.cuts for ant in ants]
+    expected = [evaluate_solution(ant, fit, validation) for ant in ants]
+    assert ranked.costs(picks).tolist() == expected
     return expected
 
 
@@ -357,7 +359,7 @@ def test_batched_costs_do_not_depend_on_the_batch(case, seed):
     # the wrong ant's block at a block edge moves an error between the ants.
     fit, validation, picks = case
     picks = np.asarray(picks, dtype=np.int64)
-    ranked = _RankedSplit(joint_grid(fit, validation), fit, validation)
+    ranked = _RankedSplit(fit, validation)
     costs = ranked.costs(picks)
     order = np.random.default_rng(seed).permutation(len(picks))
     assert ranked.costs(picks[order]).tolist() == costs[order].tolist()
@@ -369,22 +371,30 @@ def test_batched_costs_at_the_compare_2k_shape():
     train, _ = split(generate(default_profile(), 2000, 1), SplitSpec(train_fraction=0.7, seed=1))
     fit, validation = split(train, SplitSpec(train_fraction=FIT_FRACTION, seed=1))
     assert (fit.n_objects, validation.n_objects, fit.n_attributes) == (1120, 280, 9)
-    grid = PercentileGrid.from_table(train)
+    # the two parts are a permutation of train, so they grid as train does
+    ranked = _RankedSplit(fit, validation)
+    np.testing.assert_array_equal(ranked.grid, percentile_value_grid(train))
+    np.testing.assert_array_equal(ranked.minima, train.values.min(axis=0))
+    np.testing.assert_array_equal(ranked.maxima, train.values.max(axis=0))
     weights = initial_model(9).tau ** AcoParams().alpha
     picks = _construct(weights, np.random.default_rng(535).random((10, 9, 2)))
-    costs = assert_batched_costs_match(fit, validation, picks, grid)
+    costs = assert_batched_costs_match(fit, validation, picks)
     assert len(set(costs)) > 1
     # 99 cuts: every position is picked, so every rank is its own bin
     every = _construct(weights, np.random.default_rng(536).random((3, 9, N_POSITIONS)))
-    assert_batched_costs_match(fit, validation, every, grid)
-    # no pick lies strictly above a minimum raised to the 99th percentile,
-    # so the ant keeps no cut and every row shares one cell
-    raised = PercentileGrid(grid.values, grid.values[:, -1], grid.maxima)
-    assert not any(realize(raised, picks[0]).cuts.cuts_per_attribute)
+    assert_batched_costs_match(fit, validation, every)
+    # columns constant but for one larger row: every percentile falls on the
+    # minimum, so no ant keeps a cut and every row shares one cell
+    flat = np.zeros_like(fit.values)
+    flat[0] = 1.0
+    flat_fit = DecisionTable(fit.attribute_names, flat, fit.decisions)
+    flat_validation = DecisionTable(fit.attribute_names, np.zeros_like(validation.values),
+                                    validation.decisions)
+    assert not any(_RankedSplit(flat_fit, flat_validation).cuts(picks[0]).cuts_per_attribute)
     ones = int(fit.decisions.sum())
     majority = 1 if ones >= fit.n_objects - ones else 0
-    assert assert_batched_costs_match(fit, validation, picks[:1], raised) == [
-        float((validation.decisions != majority).mean())]
+    assert assert_batched_costs_match(flat_fit, flat_validation, picks) == [
+        float((validation.decisions != majority).mean())] * len(picks)
 
 
 def test_update_pheromones_evaporation_only():
@@ -504,18 +514,20 @@ def test_optimize_realizes_cuts_only_for_a_new_best(monkeypatch):
     # than one improving ant, and one a tie for the new minimum.
     rng = np.random.default_rng(534)
     table = random_train_table(rng, n=200, m=4)
-    built, iterations = [], []
+    built, iterations, splits = [], [], []
     monkeypatch.setattr(aco, "CutSet", lambda cuts: built.append(cuts) or CutSet(cuts))
     costs = _RankedSplit.costs
 
     def recording_costs(self, percentiles):
+        splits.append(self)
         iterations.append((percentiles.tolist(), costs(self, percentiles).tolist()))
         return np.array(iterations[-1][1])
 
     monkeypatch.setattr(_RankedSplit, "costs", recording_costs)
     best, history = optimize(table, AcoParams(num_ants=6, num_iterations=30, seed=5))
 
-    grid = PercentileGrid.from_table(table)
+    # optimize grids its whole training table
+    np.testing.assert_array_equal(splits[0].grid, percentile_value_grid(table))
     expected, best_cost, best_picks = [], None, None
     for picks, ant_costs in iterations:
         improved = False
@@ -523,7 +535,7 @@ def test_optimize_realizes_cuts_only_for_a_new_best(monkeypatch):
             if best_cost is None or cost < best_cost:
                 best_cost, best_picks, improved = cost, ant_picks, True
         if improved:
-            expected.append(realize(grid, best_picks).cuts.cuts_per_attribute)
+            expected.append(realize(splits[0], best_picks).cuts.cuts_per_attribute)
     assert 1 < len(expected) < len(iterations)
     assert built == expected
     assert best.percentiles == tuple(map(tuple, best_picks))

@@ -9,6 +9,7 @@ from roughcut import (
     GAS_NAMES, SplitSpec, accuracy, apply_cuts, auc, classify_table, confusion, cuts_from_json,
     default_profile, generate, load_csv, profile_to_json, roc, ruleset_from_json, split,
 )
+import roughcut.synth as synth
 from roughcut.cli import main
 
 TIMING_KEYS = ("train_time_s", "test_time_s")
@@ -208,6 +209,21 @@ def test_too_small_synth_n_names_the_flag(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([*command, "--synth-n", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: --synth-n must be at least 10"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 EiB for an array with shape (2**60,)", ""])
+@pytest.mark.parametrize("command", [["run", "--discretizer", "aco", "--synth-n", "300"],
+                                     ["compare", "--synth-n", "300"], ["generate", "--n", "300"]])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command, message):
+    # a stand-in: whether a really huge allocation fails at once depends on the host
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(synth, "generate", out_of_memory)
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message or 'MemoryError'}"]
     assert not out.exists()
 
 
