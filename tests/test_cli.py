@@ -1,9 +1,15 @@
 """End-to-end command-line behavior: generate, run, and compare."""
 
+import contextlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from roughcut import (
     GAS_NAMES, SplitSpec, accuracy, apply_cuts, auc, classify_table, confusion, cuts_from_json,
@@ -387,3 +393,81 @@ def test_compare_shares_one_split_and_reports_deltas(tmp_path, capsys):
     assert "Equal Frequency Bin" in text
     assert "Ant Colony Optimized" in text
     assert capsys.readouterr().out.startswith("Equal Frequency Bin")
+
+
+# Each flag's edge values. --ants and --iters stop at 2 so that every
+# example runs in milliseconds; a huge colony legitimately runs long.
+EDGE_FLAGS = {
+    "--train-frac": ["nan", "inf", "-0.0", "0", "1e-9", "0.5", "1"],
+    "--cuts": ["0", "1", "99", "100"],
+    "--ants": ["-1", "0", "1", "2"],
+    "--iters": ["-1", "0", "1", "2"],
+    "--alpha": ["nan", "inf", "-1", "0", "200"],
+    "--rho": ["nan", "inf", "-1", "0", "200"],
+    "--q": ["nan", "inf", "-1", "0", "200"],
+    "--seed": ["-1", "0", str(2**63)],
+    "--workers": ["-1", "0", "1", "2"],
+}
+SYNTH_N = ["-1", "9", "10", "40", str(10**15)]
+LISTED_OUTPUTS = {
+    ("run", "efb"): {"report.json", "rules.json", "cuts.json", "roc.csv"},
+    ("run", "aco"): {"report.json", "rules.json", "cuts.json", "roc.csv", "convergence.csv"},
+    ("compare",): {"compare.json", "compare.txt"},
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A 40-row CSV and the default profile as JSON, shared by every example."""
+    root = tmp_path_factory.mktemp("inputs")
+    data, profile = root / "data.csv", root / "profile.json"
+    assert main(["generate", "--n", "40", "--seed", "3", "--out", str(data)]) == 0
+    profile.write_text(json.dumps(profile_to_json(default_profile())))
+    return data, profile
+
+
+@st.composite
+def edge_argvs(draw, data, profile):
+    """A command, the argv tail after it, and that command's key into LISTED_OUTPUTS."""
+    command = draw(st.sampled_from([("run", "efb"), ("run", "aco"), ("compare",), ("generate",)]))
+    use_profile = draw(st.booleans())
+    profile_flag = ["--profile", str(profile)] if use_profile else []
+    if command == ("generate",):
+        tail = ["--n", draw(st.sampled_from(SYNTH_N)), "--seed", draw(st.sampled_from(["0", "1"])),
+                *profile_flag]
+        return ["generate", *tail], command
+    head = ["run", "--discretizer", command[1]] if command[0] == "run" else ["compare"]
+    if draw(st.booleans()):
+        source = ["--data", str(data)]
+    else:
+        source = ["--synth-n", draw(st.sampled_from(SYNTH_N))]
+    flags = ["--clip-outliers"] if draw(st.booleans()) else []
+    for flag, values in EDGE_FLAGS.items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is None and flag in ("--ants", "--iters"):
+            value = "2"  # not the default colony of 10 ants for 100 iterations
+        if value is not None:
+            flags += [flag, value]
+    return [*head, *source, *profile_flag, *flags], command
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
+@given(data=st.data())
+def test_edge_flags_never_end_in_a_traceback(inputs, data):
+    argv, command = data.draw(edge_argvs(*inputs))
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / ("out.csv" if command == ("generate",) else "out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        assert code in (0, 1), argv
+        # an ACO run prints one progress line per iteration before it can fail
+        lines = [line for line in stderr.getvalue().splitlines() if not line.startswith("iteration ")]
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+            assert not out.exists() or not any(out.iterdir()), argv
+        elif command == ("generate",):
+            assert lines == [] and out.is_file(), argv
+        else:
+            assert lines == [], argv
+            assert {path.name for path in out.iterdir()} == LISTED_OUTPUTS[command], argv

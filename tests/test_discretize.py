@@ -1,8 +1,10 @@
 """Equal frequency binning, bin application, and the percentile grid."""
 
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -173,3 +175,45 @@ def test_value_equal_to_a_cut_falls_in_the_upper_bin(column, picks):
     ranks = np.searchsorted(grid, probes, side="right")
     assert [grid[p - 1] for p in kept] == list(cuts)
     assert ((ranks[:, None] >= np.array(kept, dtype=np.int64)).sum(axis=1) == bins).all()
+
+
+# Signed zeros, the smallest subnormal, the smallest normal and the largest
+# magnitudes: the values where a comparison could round or lose a sign.
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES)
+
+
+@st.composite
+def ragged_cut_tables(draw):
+    """A table of 1-5 attributes and a CutSet with 0-8 cuts each, drawn independently.
+
+    Each column mixes its cuts, the float just below each cut, edge values
+    and arbitrary finite floats, so every cut boundary is probed from both sides.
+    """
+    n_attrs = draw(st.integers(1, 5))
+    cuts = tuple(tuple(sorted(draw(st.sets(FINITE, max_size=8)))) for _ in range(n_attrs))
+    n = draw(st.integers(1, 30))
+    columns = []
+    for attr_cuts in cuts:
+        below = [float(np.nextafter(c, -np.inf)) for c in attr_cuts if c > -sys.float_info.max]
+        pool = [*attr_cuts, *below, *EDGE_VALUES]
+        value = st.sampled_from(pool) | FINITE
+        columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+    return make_table(columns), CutSet(cuts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ragged_cut_tables())
+@example(case=(make_table([[-0.0, 0.0, 5e-324, 1.0], [3.0, 1e308, -1e308, 2.0]]),
+               CutSet(((), (-1.0, 0.0, 2.0, 1e308)))))
+@example(case=(make_table([[1.0, 2.0, 3.0], [0.0, 2.0, 5.0]]), CutSet(((1.5, 2.5), (1.0,)))))
+def test_apply_cuts_matches_searchsorted_per_attribute(case):
+    table, cuts = case
+    binned = apply_cuts(table, cuts)
+    expected = np.column_stack([
+        np.searchsorted(np.asarray(attr_cuts, dtype=np.float64), table.values[:, a], side="right")
+        for a, attr_cuts in enumerate(cuts.cuts_per_attribute)
+    ])
+    assert binned.bins.dtype == np.int64
+    assert binned.bins.tolist() == expected.tolist()
+    assert binned.attribute_bin_counts == cuts.bin_counts()

@@ -6,6 +6,8 @@ against an independent construction rather than against themselves. The
 dict_* references are per-row dict loops, checked against with hypothesis.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,7 +26,8 @@ from roughcut import (
     ruleset_from_json,
     ruleset_to_json,
 )
-from roughcut.roughset import KEY_LIMIT
+import roughcut.roughset as roughset
+from roughcut.roughset import KEY_LIMIT, _group_rows, _row_keys
 
 
 def brute_partition(bins, attrs):
@@ -599,3 +602,89 @@ def test_a_bin_count_too_large_to_key_is_an_error():
         partition(DiscretizedTable(rows, [0, 1, 0, 1, 0], counts), [0, 1])
     with pytest.raises(ValueError, match=message):
         RuleSet(rows, [0, 1, 0, 1, 0], [1] * 5, [1.0] * 5, 0, counts)
+
+
+def unique_group_rows(bins, counts):
+    """Reference: grouping through np.unique's stable sort, renumbered by first appearance."""
+    keys, _ = _row_keys(zip(bins.T, counts))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.size)
+    return first[order], renumber[inverse.ravel()]
+
+
+def searchsorted_find(distinct, keys):
+    """Reference: each unsorted key binary-searched in ``distinct`` where it stands."""
+    if not distinct.size:
+        return np.full(keys.shape, -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(distinct, keys), distinct.size - 1)
+    return np.where(distinct[at] == keys, at, -1)
+
+
+# 2**40 * 2**40 passes KEY_LIMIT, so two wide attributes force a renumbering.
+KEYED_COUNTS = st.sampled_from([1, 2, 3, 2**40])
+
+
+@st.composite
+def repeated_rows(draw):
+    """A bin matrix of 1-40 rows drawn from a pool of 1-6 distinct-ish rows, and its counts."""
+    counts = tuple(draw(st.lists(KEYED_COUNTS, min_size=1, max_size=4)))
+    row = st.tuples(*[st.integers(0, c - 1) for c in counts])
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), len(counts)), counts
+
+
+@PROPERTY_SETTINGS
+@given(case=repeated_rows())
+@example(case=(np.array([[0, 0]]), (3, 3)))
+@example(case=(WIDE.bins, WIDE.attribute_bin_counts))
+@example(case=(np.array([[5, 1], [2, 0], [5, 1], [2, 0], [7, 1]]), (2**40, 2)))
+def test_group_rows_matches_the_unique_reference(case):
+    bins, counts = case
+    first, cell_of = _group_rows(bins, counts)
+    expected_first, expected_cell_of = unique_group_rows(bins, counts)
+    assert first.tolist() == expected_first.tolist()
+    assert cell_of.tolist() == expected_cell_of.tolist()
+
+
+@PROPERTY_SETTINGS
+@given(case=repeated_rows(), data=st.data())
+@example(case=(WIDE.bins, WIDE.attribute_bin_counts), data=None)
+def test_rule_keys_and_match_match_the_searchsorted_reference(case, data):
+    bins, counts = case
+    distinct = np.array(list(dict.fromkeys(map(tuple, bins.tolist()))), dtype=np.int64)
+    distinct = distinct.reshape(-1, len(counts))
+    if data is not None:
+        distinct = distinct[data.draw(st.permutations(range(len(distinct))))]
+    n = len(distinct)
+    rules = RuleSet(distinct, np.arange(n) % 2, np.ones(n), np.ones(n), 0, counts)
+
+    keys, _ = _row_keys(zip(distinct.T, counts))
+    expected_keys, expected_positions = np.unique(keys, return_index=True)
+    assert rules._keys.tolist() == expected_keys.tolist()
+    assert rules._positions.tolist() == [*expected_positions.tolist(), -1]
+
+    # Rule rows, rows that are no rule, and rows with a bin just outside
+    # [0, count), repeated and in drawn order.
+    absent = (distinct + 1) % np.asarray(counts)
+    outside = distinct.copy()
+    outside[:, -1] = counts[-1]
+    below = distinct.copy()
+    below[:, 0] = -1
+    candidates = np.vstack([distinct, absent, outside, below, bins])
+    if data is None:
+        queries = candidates[np.arange(2 * len(candidates)) % len(candidates)]
+    else:
+        picks = data.draw(st.lists(st.integers(0, len(candidates) - 1), max_size=60))
+        queries = candidates[np.asarray(picks, dtype=np.int64)].reshape(len(picks), len(counts))
+    with mock.patch.object(roughset, "_find", searchsorted_find):
+        expected = rules.match(queries)
+    assert rules.match(queries).tolist() == expected.tolist()
+    on_rule = [tuple(q) in set(map(tuple, distinct.tolist())) for q in queries.tolist()]
+    assert (expected >= 0).tolist() == on_rule
+
+    with pytest.raises(ValueError, match="duplicate rule conditions"):
+        RuleSet(np.vstack([distinct, distinct[-1:]]), np.zeros(n + 1), np.ones(n + 1),
+                np.ones(n + 1), 0, counts)
