@@ -112,14 +112,26 @@ def efb_cuts(table: DecisionTable, num_cuts: int) -> CutSet:
 
 
 def apply_cuts(table: DecisionTable, cuts: CutSet) -> DiscretizedTable:
-    """Bin every value: bin(v) = number of cuts <= v (equal-to-cut goes up)."""
+    """Bin every value: bin(v) = number of cuts <= v (equal-to-cut goes up).
+
+    The cut lists are padded with +inf to the longest one and stacked into
+    a (longest, attributes) matrix; the bins are the sum over its rows of
+    ``values >= row``, one pass over the whole table per row. The cost so
+    grows with the longest cut list, not with its logarithm: on a 140k-row,
+    9-attribute table this takes about 17-22 ms at 2 or 6 cuts but 255 ms at
+    99 cuts, where a per-attribute binary search took 105 ms.
+    """
     if cuts.n_attributes != table.n_attributes:
         raise ValueError(
             f"cut set covers {cuts.n_attributes} attributes, table has {table.n_attributes}"
         )
-    bins = np.empty((table.n_objects, table.n_attributes), dtype=np.int64)
+    longest = max(len(attr_cuts) for attr_cuts in cuts.cuts_per_attribute)
+    padded = np.full((longest, cuts.n_attributes), np.inf)
     for a, attr_cuts in enumerate(cuts.cuts_per_attribute):
-        bins[:, a] = np.searchsorted(np.asarray(attr_cuts), table.values[:, a], side="right")
+        padded[:len(attr_cuts), a] = attr_cuts
+    bins = np.zeros((table.n_objects, table.n_attributes), dtype=np.int64)
+    for row in padded:
+        bins += table.values >= row
     return DiscretizedTable(bins, table.decisions, cuts.bin_counts())
 
 

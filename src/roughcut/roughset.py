@@ -115,8 +115,9 @@ class RuleSet:
         # Sorted distinct keys, the rule holding each (then -1, for no key),
         # and the partial keys renumbered with, which match ranks queries against.
         keys, renumbered = _row_keys(zip(self.conditions.T, self.attribute_bin_counts))
-        keys, positions = np.unique(keys, return_index=True)
-        if keys.size < self.decisions.size:
+        positions = np.argsort(keys)
+        keys = keys[positions]
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate rule conditions")
         object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_positions", np.append(positions, -1))
@@ -196,10 +197,17 @@ def _row_keys(
 
 
 def _find(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position of each key in the sorted distinct keys ``distinct``, or -1 where absent."""
+    """Position of each key in the sorted distinct keys ``distinct``, or -1 where absent.
+
+    The keys are searched in sorted order, so that each binary search starts
+    where the previous one ended, and the positions are scattered back.
+    """
     if not distinct.size:
         return np.full(keys.shape, -1, dtype=np.int64)
-    at = np.minimum(np.searchsorted(distinct, keys), distinct.size - 1)
+    order = np.argsort(keys)
+    at = np.empty(keys.shape, dtype=np.int64)
+    at[order] = np.searchsorted(distinct, keys[order])
+    np.minimum(at, distinct.size - 1, out=at)
     return np.where(distinct[at] == keys, at, -1)
 
 
@@ -221,13 +229,23 @@ def _group_rows(bins: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np
 
     Cells are numbered by first appearance. Returns ``(first, cell_of)``:
     cell c has first row ``first[c]``, and row r lies in cell ``cell_of[r]``.
+    The keys are sorted once, by numpy's default (unstable) sort: each run of
+    equal sorted keys is one cell, and its first row is the least row index
+    in the run, so the order within a run does not matter.
     """
     keys, _ = _row_keys(zip(bins.T, counts))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    renumber = np.empty_like(order)
-    renumber[order] = np.arange(order.size)
-    return first[order], renumber[inverse.ravel()]
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    by_first = np.argsort(first)
+    renumber = np.empty_like(by_first)
+    renumber[by_first] = np.arange(by_first.size)
+    cell_of = np.empty_like(order)
+    cell_of[order] = renumber[np.cumsum(starts) - 1]
+    return first[by_first], cell_of
 
 
 def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
