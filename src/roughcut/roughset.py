@@ -199,8 +199,8 @@ def _row_keys(
 def _find(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Position of each key in the sorted distinct keys ``distinct``, or -1 where absent.
 
-    The keys are searched in sorted order, so that each binary search starts
-    where the previous one ended, and the positions are scattered back.
+    The keys are searched in sorted order, so that numpy narrows each binary
+    search from the previous one, and the positions are scattered back.
     """
     if not distinct.size:
         return np.full(keys.shape, -1, dtype=np.int64)

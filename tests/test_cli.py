@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughcut import (
@@ -451,7 +451,7 @@ def edge_argvs(draw, data, profile):
     return [*head, *source, *profile_flag, *flags], command
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_edge_flags_never_end_in_a_traceback(inputs, data):
     argv, command = data.draw(edge_argvs(*inputs))

@@ -4,6 +4,9 @@ The oracle functions here re-derive every set from first principles with
 plain pairwise comparisons, so the vectorized implementations are checked
 against an independent construction rather than against themselves. The
 dict_* references are per-row dict loops, checked against with hypothesis.
+``unique_group_rows`` and ``searchsorted_find`` keep the earlier
+formulations of the row grouping (``np.unique``'s stable sort) and of the key
+lookup (a binary search per unsorted query) as references for the sorted ones.
 """
 
 from unittest import mock
@@ -628,7 +631,7 @@ KEYED_COUNTS = st.sampled_from([1, 2, 3, 2**40])
 
 @st.composite
 def repeated_rows(draw):
-    """A bin matrix of 1-40 rows drawn from a pool of 1-6 distinct-ish rows, and its counts."""
+    """A bin matrix of 1-40 rows, each a copy of one of 1-6 drawn rows, and its bin counts."""
     counts = tuple(draw(st.lists(KEYED_COUNTS, min_size=1, max_size=4)))
     row = st.tuples(*[st.integers(0, c - 1) for c in counts])
     pool = draw(st.lists(row, min_size=1, max_size=6))
