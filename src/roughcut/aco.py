@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import DecisionTable, SplitSpec, split
+from .data import DecisionTable, SplitSpec, _frozen, split
 from .discretize import CutSet, apply_cuts, percentile_value_grid
 from .roughset import _row_keys, classify_table, induce_rules
 
@@ -72,13 +72,11 @@ class PheromoneModel:
     tau: np.ndarray
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=np.float64)
-        if tau.ndim != 2 or tau.shape[1] != N_POSITIONS:
+        object.__setattr__(self, "tau", _frozen(self.tau, np.float64))
+        if self.tau.ndim != 2 or self.tau.shape[1] != N_POSITIONS:
             raise ValueError(f"tau must be (n_attributes, {N_POSITIONS})")
-        if (tau <= 0).any():
+        if (self.tau <= 0).any():
             raise ValueError("tau must be strictly positive")
-        tau.setflags(write=False)
-        object.__setattr__(self, "tau", tau)
 
     @property
     def n_attributes(self) -> int:

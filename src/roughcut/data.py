@@ -32,6 +32,13 @@ CSV_SPACE = " \t\n\r\v\f"
 CLIP_PERCENTILES = (0.5, 99.5)
 
 
+def _frozen(value, dtype) -> np.ndarray:
+    """A read-only copy of ``value`` as an array of ``dtype``; the caller's array stays writable."""
+    array = np.array(value, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class DecisionTable:
     """Immutable table of objects x condition attributes plus a binary decision.
@@ -49,17 +56,17 @@ class DecisionTable:
     n_dropped: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        decisions = np.asarray(self.decisions, dtype=np.int64)
-        if values.ndim != 2:
+        object.__setattr__(self, "values", _frozen(self.values, np.float64))
+        object.__setattr__(self, "decisions", _frozen(self.decisions, np.int64))
+        if self.values.ndim != 2:
             raise ValueError("values must be a 2-D array of shape (n_objects, n_attributes)")
-        if values.shape[0] == 0:
+        if self.values.shape[0] == 0:
             raise ValueError("a decision table needs at least one object")
-        if values.shape[1] == 0:
+        if self.values.shape[1] == 0:
             raise ValueError("a decision table needs at least one condition attribute")
-        if values.shape[1] != len(self.attribute_names):
+        if self.values.shape[1] != len(self.attribute_names):
             raise ValueError(
-                f"row width {values.shape[1]} does not match "
+                f"row width {self.values.shape[1]} does not match "
                 f"{len(self.attribute_names)} attribute names"
             )
         seen = set()
@@ -70,19 +77,13 @@ class DecisionTable:
             if stripped != name:
                 raise ValueError(f"attribute name {name!r} has surrounding whitespace")
             seen.add(name)
-        if decisions.shape != (values.shape[0],):
+        if self.decisions.shape != (self.values.shape[0],):
             raise ValueError("decisions must have one entry per object")
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("condition values must be finite")
-        if not np.isin(decisions, (0, 1)).all():
+        if not np.isin(self.decisions, (0, 1)).all():
             raise ValueError("decisions must be 0 or 1")
-        values = values.copy()
-        decisions = decisions.copy()
-        values.setflags(write=False)
-        decisions.setflags(write=False)
         object.__setattr__(self, "attribute_names", tuple(self.attribute_names))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "decisions", decisions)
 
     @property
     def n_objects(self) -> int:

@@ -8,11 +8,12 @@ upper bin, so bin(v) = number of cuts <= v.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DecisionTable
+from .data import DecisionTable, _frozen
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,40 @@ class CutSet:
         return tuple(len(cuts) + 1 for cuts in self.cuts_per_attribute)
 
 
+def _integer(value, field_name: str) -> int:
+    """``value`` as an int; anything but an integral number raises ValueError naming the field."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{field_name} {value!r} is not an integer")
+
+
+def _bin_counts(counts) -> tuple[int, ...]:
+    """The bin counts as Python ints; ValueError unless there is one or more, each an integer in [1, 2**63)."""
+    counts = tuple(_integer(count, "attribute_bin_counts entry") for count in counts)
+    if not counts:
+        raise ValueError("bin matrix must have at least one attribute")
+    for a, count in enumerate(counts):
+        if not 1 <= count < 2**63:
+            raise ValueError(f"attribute_bin_counts entry {a}: {count} is not in [1, 2**63)")
+    return counts
+
+
+def _out_of_range(bins: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """Mask of the bins outside [0, count) for their attribute."""
+    return (bins < 0) | (bins >= np.asarray(counts, dtype=np.int64))
+
+
+def _check_bins(bins: np.ndarray, counts: tuple[int, ...], row_name: str) -> None:
+    """Raise ValueError naming the first row and attribute with a bin outside [0, count).
+
+    Two reductions tell whether any bin is out of range; the element mask is
+    built only to name the first one.
+    """
+    if bins.size and (bins.min() < 0 or (bins >= np.asarray(counts, dtype=np.int64)).any()):
+        row, attr = (int(i) for i in np.argwhere(_out_of_range(bins, counts))[0])
+        raise ValueError(f"{row_name} {row}: bin index out of range for attribute {attr} ({counts[attr]} bins)")
+
+
 @dataclass(frozen=True)
 class DiscretizedTable:
     """Bin indices per object plus the decision column, after applying a CutSet."""
@@ -51,22 +86,16 @@ class DiscretizedTable:
     attribute_bin_counts: tuple[int, ...]
 
     def __post_init__(self):
-        bins = np.asarray(self.bins, dtype=np.int64)
-        decisions = np.asarray(self.decisions, dtype=np.int64)
-        if bins.ndim != 2 or bins.shape[1] != len(self.attribute_bin_counts):
+        object.__setattr__(self, "bins", _frozen(self.bins, np.int64))
+        object.__setattr__(self, "decisions", _frozen(self.decisions, np.int64))
+        object.__setattr__(self, "attribute_bin_counts", _bin_counts(self.attribute_bin_counts))
+        if self.bins.ndim != 2 or self.bins.shape[1] != len(self.attribute_bin_counts):
             raise ValueError("bins must be (n_objects, n_attributes)")
-        if decisions.shape != (bins.shape[0],):
+        if self.decisions.shape != (self.bins.shape[0],):
             raise ValueError("decisions must have one entry per object")
-        limits = np.asarray(self.attribute_bin_counts, dtype=np.int64)
-        if bins.size and (bins.min() < 0 or (bins >= limits).any()):
-            raise ValueError("bin index out of range for attribute_bin_counts")
-        bins = bins.copy()
-        decisions = decisions.copy()
-        bins.setflags(write=False)
-        decisions.setflags(write=False)
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "decisions", decisions)
-        object.__setattr__(self, "attribute_bin_counts", tuple(int(c) for c in self.attribute_bin_counts))
+        if not ((self.decisions == 0) | (self.decisions == 1)).all():
+            raise ValueError("decisions must be 0 or 1")
+        _check_bins(self.bins, self.attribute_bin_counts, "object")
 
     @property
     def n_objects(self) -> int:

@@ -7,13 +7,13 @@ every attribute considered; each equivalence class becomes one if-then rule.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .discretize import DiscretizedTable
+from .data import _frozen
+from .discretize import DiscretizedTable, _bin_counts, _check_bins, _integer, _out_of_range
 
 KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
 
@@ -30,9 +30,7 @@ class Partition:
     class_of: np.ndarray
 
     def __post_init__(self):
-        class_of = np.asarray(self.class_of, dtype=np.int64)
-        class_of.setflags(write=False)
-        object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "class_of", _frozen(self.class_of, np.int64))
 
     @property
     def n_objects(self) -> int:
@@ -91,12 +89,8 @@ class RuleSet:
     def __post_init__(self):
         for name, dtype in (("conditions", np.int64), ("decisions", np.int64),
                             ("supports", np.int64), ("confidences", np.float64)):
-            array = np.array(getattr(self, name), dtype=dtype)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-        for a, count in enumerate(self.attribute_bin_counts):
-            if not 1 <= count < 2**63:
-                raise ValueError(f"attribute_bin_counts entry {a}: {count} is not in [1, 2**63)")
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        object.__setattr__(self, "attribute_bin_counts", _bin_counts(self.attribute_bin_counts))
         per_rule = (self.decisions.size,)
         if self.conditions.shape != per_rule + (len(self.attribute_bin_counts),) or any(
                 a.shape != per_rule for a in (self.decisions, self.supports, self.confidences)):
@@ -163,7 +157,7 @@ def _row_keys(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One int64 mixed-radix key per row, from the row's bin columns taken one at a time.
 
-    ``columns`` yields ``(bins, count)`` pairs with every bin in [0, count),
+    ``columns`` yields at least one ``(bins, count)`` pair, every bin in [0, count),
     and each one turns the keys into ``key * count + bins``. Before the radix
     would pass KEY_LIMIT the partial keys are renumbered: by ``np.unique``
     when ``dictionaries`` is None, otherwise by their position in the next
@@ -191,8 +185,6 @@ def _row_keys(
             keys *= count
             keys += bins
         radix *= count
-    if keys is None:
-        raise ValueError("bin matrix must have at least one attribute")
     return keys, renumbered
 
 
@@ -209,19 +201,6 @@ def _find(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
     at[order] = np.searchsorted(distinct, keys[order])
     np.minimum(at, distinct.size - 1, out=at)
     return np.where(distinct[at] == keys, at, -1)
-
-
-def _out_of_range(bins: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """Mask of the bins outside [0, count) for their attribute."""
-    return (bins < 0) | (bins >= np.asarray(counts, dtype=np.int64))
-
-
-def _check_bins(bins: np.ndarray, counts: tuple[int, ...], row_name: str) -> None:
-    """Raise ValueError naming the first row and attribute with a bin outside [0, count)."""
-    bad = _out_of_range(bins, counts)
-    if bad.any():
-        row, attr = (int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(f"{row_name} {row}: bin index out of range for attribute {attr} ({counts[attr]} bins)")
 
 
 def _group_rows(bins: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -355,16 +334,9 @@ def ruleset_to_json(rules: RuleSet) -> dict:
     }
 
 
-def _integer(value, field_name: str) -> int:
-    """``value`` as an int; anything but an integral number raises ValueError naming the field."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{field_name} {value!r} is not an integer")
-
-
 def ruleset_from_json(payload: dict) -> RuleSet:
     """Rebuild the rules of ``ruleset_to_json``; a malformed rule raises ValueError."""
-    counts = tuple(_integer(c, "attribute_bin_counts entry") for c in payload["attribute_bin_counts"])
+    counts = _bin_counts(payload["attribute_bin_counts"])
     entries = payload["rules"]
     conditions, decisions, supports = [], [], []
     for i, entry in enumerate(entries):

@@ -12,6 +12,7 @@ from roughcut import (
     CutSet,
     DecisionTable,
     DiscretizedTable,
+    RuleSet,
     apply_cuts,
     cuts_from_json,
     cuts_to_json,
@@ -149,6 +150,38 @@ def test_discretized_table_validation():
         DiscretizedTable(np.array([[0], [3]]), np.array([0, 1]), (3,))
     with pytest.raises(ValueError):
         DiscretizedTable(np.array([[0], [1]]), np.array([0]), (2,))
+
+
+def test_discretized_table_rejects_decisions_outside_zero_and_one():
+    for decisions in ([0, 2], [0, -1]):
+        with pytest.raises(ValueError, match="decisions must be 0 or 1"):
+            DiscretizedTable([[0], [1]], decisions, (2,))
+
+
+def test_discretized_table_names_the_first_out_of_range_bin():
+    with pytest.raises(ValueError, match=r"^object 1: bin index out of range for attribute 0 \(3 bins\)$"):
+        DiscretizedTable([[0], [3]], [0, 1], (3,))
+    with pytest.raises(ValueError, match=r"^object 1: bin index out of range for attribute 1 \(2 bins\)$"):
+        DiscretizedTable([[0, 1], [2, -1], [5, 0]], [0, 1, 0], (3, 2))
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((0,), r"attribute_bin_counts entry 0: 0 is not in \[1, 2\*\*63\)"),
+    ((-1,), r"attribute_bin_counts entry 0: -1 is not in \[1, 2\*\*63\)"),
+    ((2, 2**63), r"attribute_bin_counts entry 1: 9223372036854775808 is not in \[1, 2\*\*63\)"),
+    ((2**64,), r"attribute_bin_counts entry 0: 18446744073709551616 is not in \[1, 2\*\*63\)"),
+    ((2.7,), "attribute_bin_counts entry 2.7 is not an integer"),
+    ((), "bin matrix must have at least one attribute"),
+], ids=["zero", "negative", "2**63", "2**64", "fraction", "no attributes"])
+def test_discretized_table_rejects_the_bin_counts_a_rule_set_rejects(counts, message):
+    # Every bin is 0, in range for any valid count; the rule set's three
+    # equal rows would be duplicates, so its counts must be checked first.
+    bins = np.zeros((3, len(counts)), dtype=np.int64)
+    with pytest.raises(ValueError, match=message) as rule_error:
+        RuleSet(bins, [0, 1, 0], [1, 1, 1], [1.0, 1.0, 1.0], 0, counts)
+    with pytest.raises(ValueError, match=message) as table_error:
+        DiscretizedTable(bins, [0, 1, 0], counts)
+    assert str(table_error.value) == str(rule_error.value)
 
 
 @given(

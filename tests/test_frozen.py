@@ -8,7 +8,7 @@ the array writable, and writing to the stored field must raise.
 import numpy as np
 import pytest
 
-from roughcut import DecisionTable, DiscretizedTable, RuleSet
+from roughcut import DecisionTable, DiscretizedTable, Partition, PheromoneModel, RuleSet
 
 RULE_FIELDS = {"conditions": np.array([[0, 1], [2, 0]]), "decisions": np.array([1, 0]),
                "supports": np.array([4, 3]), "confidences": np.array([0.75, 1.0])}
@@ -29,6 +29,9 @@ CASES = {
         lambda a: DiscretizedTable([[0], [1]], a, (2,)), "decisions", np.array([0, 1])),
     **{f"RuleSet.{name}": (lambda a, name=name: rule_set(**{name: a}), name, value)
        for name, value in RULE_FIELDS.items()},
+    "Partition.class_of": (
+        lambda a: Partition((frozenset({0, 2}), frozenset({1})), a), "class_of", np.array([0, 1, 0])),
+    "PheromoneModel.tau": (PheromoneModel, "tau", np.linspace(0.5, 2.0, 2 * 99).reshape(2, 99)),
 }
 
 

@@ -363,6 +363,15 @@ def test_ruleset_rejects_out_of_range_fields():
             rules(**changes)
 
 
+def test_ruleset_stores_integer_bin_counts_as_a_tuple_of_ints():
+    with pytest.raises(ValueError, match="attribute_bin_counts entry 2.7 is not an integer"):
+        RuleSet([[0]], [1], [1], [1.0], 0, (2.7,))
+    for counts in ([3, 2], np.array([3, 2]), (3.0, 2)):
+        rules = RuleSet([[0, 1]], [1], [1], [1.0], 0, counts)
+        assert rules.attribute_bin_counts == (3, 2)
+        assert [type(count) for count in rules.attribute_bin_counts] == [int, int]
+
+
 def test_ruleset_from_json_rejects_malformed_rules():
     def payload(**changes):
         second = {"conditions": {"0": 2, "1": 0}, "decision": 0, "support": 3,
@@ -691,3 +700,43 @@ def test_rule_keys_and_match_match_the_searchsorted_reference(case, data):
     with pytest.raises(ValueError, match="duplicate rule conditions"):
         RuleSet(np.vstack([distinct, distinct[-1:]]), np.zeros(n + 1), np.ones(n + 1),
                 np.ones(n + 1), 0, counts)
+
+
+def raised(build):
+    """The message of the ValueError ``build()`` raises, or None if it raises none."""
+    try:
+        build()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@st.composite
+def flawed_bin_matrices(draw):
+    """Distinct bin rows with their counts, and the flaw drawn into them: one bad bin, one bad count, or none."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, c - 1) for c in counts]), min_size=1, max_size=8, unique=True))
+    bins = np.array(rows, dtype=np.int64).reshape(len(rows), len(counts))
+    flaw = draw(st.sampled_from(["none", "bin", "count"]))
+    attr = draw(st.integers(0, len(counts) - 1))
+    if flaw == "bin":
+        bad = st.sampled_from([-1, counts[attr], counts[attr] + 7, -2**63, 2**63 - 1])
+        bins[draw(st.integers(0, len(rows) - 1)), attr] = draw(bad)
+    elif flaw == "count":
+        counts[attr] = draw(st.sampled_from([0, -1, 2**63, 2**64, 2.7, float("nan")]))
+    return bins, tuple(counts), flaw
+
+
+@PROPERTY_SETTINGS
+@given(case=flawed_bin_matrices())
+@example(case=(np.zeros((3, 0), dtype=np.int64), (), "count"))
+@example(case=(np.array([[0, 1], [2, 0]]), (3, 2**64), "count"))
+def test_tables_and_rule_sets_reject_a_bin_matrix_alike(case):
+    bins, counts, flaw = case
+    n = len(bins)
+    table_error = raised(lambda: DiscretizedTable(bins, np.arange(n) % 2, counts))
+    rule_error = raised(lambda: RuleSet(bins, np.arange(n) % 2, np.ones(n), np.ones(n), 0, counts))
+    assert (table_error is None) == (flaw == "none")
+    assert (rule_error is None) == (flaw == "none")
+    if flaw != "none":
+        assert table_error.replace("object", "rule") == rule_error
