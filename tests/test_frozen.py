@@ -42,8 +42,8 @@ def test_constructor_stores_a_read_only_copy(case):
     stored = getattr(build(given), field)
     assert stored.dtype == given.dtype
     expected = given.copy()
-    given += 1
     assert given.flags.writeable
+    given += 1
     assert np.array_equal(stored, expected)
     with pytest.raises(ValueError):
         stored[...] = expected
