@@ -167,23 +167,22 @@ def _row_keys(
     however wide the table; a count too large for even the renumbered keys
     to stay within KEY_LIMIT raises ValueError.
     """
-    keys, radix, renumbered = None, 1, []
+    columns = iter(columns)
+    bins, radix = next(columns)
+    keys, renumbered = np.array(bins, dtype=np.int64), []
     for bins, count in columns:
-        if keys is None:
-            keys = np.array(bins, dtype=np.int64)
-        else:
+        if radix * count > KEY_LIMIT:
+            if dictionaries is None:
+                distinct, keys = np.unique(keys, return_inverse=True)
+            else:
+                distinct = dictionaries[len(renumbered)]
+                keys = _find(distinct, keys)
+            renumbered.append(distinct)
+            radix = distinct.size
             if radix * count > KEY_LIMIT:
-                if dictionaries is None:
-                    distinct, keys = np.unique(keys, return_inverse=True)
-                else:
-                    distinct = dictionaries[len(renumbered)]
-                    keys = _find(distinct, keys)
-                renumbered.append(distinct)
-                radix = distinct.size
-                if radix * count > KEY_LIMIT:
-                    raise ValueError(f"bin count {count} is too large to key {radix} distinct row prefixes")
-            keys *= count
-            keys += bins
+                raise ValueError(f"bin count {count} is too large to key {radix} distinct row prefixes")
+        keys *= count
+        keys += bins
         radix *= count
     return keys, renumbered
 
