@@ -11,8 +11,9 @@ proportion to 1/cost.
 cut c for every (ant, attribute) pair in one array pass, ``_RankedSplit``
 costs every ant through per-ant rank -> bin lookup tables and one sort of
 decision-tagged cell keys, and ``_deposit`` adds every ant's pheromone with
-one ``np.add.at``. Picks stay an int64 array; cut values are realized
-(``_RankedSplit.cuts``) only for an ant that lowers the running best.
+one ``np.add.at``. Picks stay an int64 array; which of their values become
+cuts is ``discretize._kept_cuts``, the rule ``efb_cuts`` keeps its cuts by,
+and cut values are realized (``_RankedSplit.cuts``) only for a new best.
 ``evaluate_solution`` is the same cost for one ant.
 """
 
@@ -26,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import DecisionTable, SplitSpec, _frozen, split
-from .discretize import CutSet, apply_cuts, percentile_value_grid
+from .discretize import CutSet, _kept_cuts, apply_cuts, percentile_value_grid
 from .roughset import _row_keys, classify_table, induce_rules
 
 N_POSITIONS = 99  # candidate percentiles 1..99
@@ -214,14 +215,12 @@ class _RankedSplit:
     def _picked(self, percentiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid values of picks shaped (..., n_attributes, num_cuts), and which become cuts.
 
-        A pick becomes a cut when ``interior_cuts`` keeps its value: strictly
-        inside the attribute's (min, max) and above the previous pick's value
-        (ties in the data).
+        Picks ascend, so their values do not decrease, and ``discretize._kept_cuts``,
+        the rule ``efb_cuts`` keeps its cuts by, says which become cuts: strictly
+        inside the attribute's (min, max) and above the previous pick's value.
         """
         values = self.grid[np.arange(len(self.grid))[:, None], percentiles - 1]
-        kept = (values > self.minima[:, None]) & (values < self.maxima[:, None])
-        kept[..., 1:] &= values[..., 1:] > values[..., :-1]
-        return values, kept
+        return values, _kept_cuts(values, self.minima[:, None], self.maxima[:, None])
 
     def cuts(self, picks: np.ndarray) -> CutSet:
         """The cut values of one ant's (n_attributes, num_cuts) picks."""

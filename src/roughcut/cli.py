@@ -32,17 +32,19 @@ def _params(args) -> tuple[SplitSpec, AcoParams]:
     return split_spec, params
 
 
+def _synthetic(args, n: int, flag: str) -> DecisionTable:
+    """``n`` objects from --profile (or the packaged profile) and --seed; ``flag`` names n if too small."""
+    if n < synth.MIN_OBJECTS:
+        raise ValueError(f"{flag} must be at least {synth.MIN_OBJECTS}")
+    profile = synth.load_profile(args.profile) if args.profile else synth.default_profile()
+    return synth.generate(profile, n, args.seed)
+
+
 def _load_split(args, split_spec: SplitSpec) -> tuple[DecisionTable, DecisionTable]:
     """Load --data or generate --synth-n objects, clip if asked, and split into train and test."""
-    if args.data is not None:
-        if args.profile is not None:
-            raise ValueError("--profile applies only to --synth-n")
-        table = load_csv(args.data)
-    else:
-        if args.synth_n < synth.MIN_OBJECTS:
-            raise ValueError(f"--synth-n must be at least {synth.MIN_OBJECTS}")
-        profile = synth.load_profile(args.profile) if args.profile else synth.default_profile()
-        table = synth.generate(profile, args.synth_n, args.seed)
+    if args.data is not None and args.profile is not None:
+        raise ValueError("--profile applies only to --synth-n")
+    table = load_csv(args.data) if args.data is not None else _synthetic(args, args.synth_n, "--synth-n")
     if args.clip_outliers:
         table = clip_outliers(table)
     return split(table, split_spec)
@@ -112,10 +114,7 @@ def _comparison_text(reports: dict[str, EvaluationReport]) -> str:
 
 
 def cmd_generate(args) -> int:
-    if args.n < synth.MIN_OBJECTS:
-        raise ValueError(f"--n must be at least {synth.MIN_OBJECTS}")
-    profile = synth.load_profile(args.profile) if args.profile else synth.default_profile()
-    table = synth.generate(profile, args.n, args.seed)
+    table = _synthetic(args, args.n, "--n")
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(table, args.out)
     healthy, faulty = table.class_counts()

@@ -57,7 +57,8 @@ class DecisionTable:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values, np.float64))
-        object.__setattr__(self, "decisions", _frozen(self.decisions, np.int64))
+        labels = np.asarray(self.decisions)  # checked as given: the int64 cast truncates 0.5 to 0
+        object.__setattr__(self, "decisions", _frozen(labels, np.int64))
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D array of shape (n_objects, n_attributes)")
         if self.values.shape[0] == 0:
@@ -81,7 +82,7 @@ class DecisionTable:
             raise ValueError("decisions must have one entry per object")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("condition values must be finite")
-        if not np.isin(self.decisions, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("decisions must be 0 or 1")
         object.__setattr__(self, "attribute_names", tuple(self.attribute_names))
 

@@ -87,13 +87,14 @@ class DiscretizedTable:
 
     def __post_init__(self):
         object.__setattr__(self, "bins", _frozen(self.bins, np.int64))
-        object.__setattr__(self, "decisions", _frozen(self.decisions, np.int64))
+        labels = np.asarray(self.decisions)  # checked as given: the int64 cast truncates 0.5 to 0
+        object.__setattr__(self, "decisions", _frozen(labels, np.int64))
         object.__setattr__(self, "attribute_bin_counts", _bin_counts(self.attribute_bin_counts))
         if self.bins.ndim != 2 or self.bins.shape[1] != len(self.attribute_bin_counts):
             raise ValueError("bins must be (n_objects, n_attributes)")
         if self.decisions.shape != (self.bins.shape[0],):
             raise ValueError("decisions must have one entry per object")
-        if not ((self.decisions == 0) | (self.decisions == 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("decisions must be 0 or 1")
         _check_bins(self.bins, self.attribute_bin_counts, "object")
 
@@ -106,13 +107,15 @@ class DiscretizedTable:
         return self.bins.shape[1]
 
 
-def interior_cuts(raw: list[float], lo: float, hi: float) -> tuple[float, ...]:
-    """Deduplicate and keep only cuts strictly inside (lo, hi)."""
-    kept: list[float] = []
-    for c in raw:
-        if lo < c < hi and (not kept or c > kept[-1]):
-            kept.append(c)
-    return tuple(kept)
+def _kept_cuts(raw: np.ndarray, lo, hi) -> np.ndarray:
+    """Mask of the raw cuts, non-decreasing along the last axis, that both discretizers keep.
+
+    A raw cut is kept when it lies strictly inside (lo, hi), which broadcast
+    against ``raw``, and above the raw cut before it, so above the last cut kept: ties drop.
+    """
+    kept = (raw > lo) & (raw < hi)
+    kept[..., 1:] &= raw[..., 1:] > raw[..., :-1]
+    return kept
 
 
 def efb_cuts(table: DecisionTable, num_cuts: int) -> CutSet:
@@ -128,15 +131,13 @@ def efb_cuts(table: DecisionTable, num_cuts: int) -> CutSet:
     n = table.n_objects
     if n < 2:
         raise ValueError("EFB needs at least 2 objects")
+    # round half to even, as Python's round
+    bounds = np.clip(np.round(n * np.arange(1, num_cuts + 1) / (num_cuts + 1)), 1, n - 1).astype(np.int64)
     per_attribute = []
-    for a in range(table.n_attributes):
-        col = np.sort(table.values[:, a])
-        raw = []
-        for q in range(1, num_cuts + 1):
-            b = round(n * q / (num_cuts + 1))
-            b = min(max(b, 1), n - 1)
-            raw.append((col[b - 1] + col[b]) / 2.0)
-        per_attribute.append(interior_cuts(raw, col[0], col[-1]))
+    for column in table.values.T:
+        col = np.sort(column)
+        raw = (col[bounds - 1] + col[bounds]) / 2.0
+        per_attribute.append(raw[_kept_cuts(raw, col[0], col[-1])].tolist())
     return CutSet(tuple(per_attribute))
 
 

@@ -78,7 +78,7 @@ def confusion(predictions: Sequence[int], actuals: Sequence[int]) -> ConfusionMa
     if predictions.size == 0:
         raise ValueError("nothing to tally")
     for name, arr in (("predictions", predictions), ("actuals", actuals)):
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError(f"{name} must be binary")
     return ConfusionMatrix(
         tp=int(((predictions == 1) & (actuals == 1)).sum()),

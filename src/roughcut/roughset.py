@@ -87,6 +87,7 @@ class RuleSet:
     _renumbered: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        labels = np.asarray(self.decisions)  # checked as given: the int64 cast truncates 0.5 to 0
         for name, dtype in (("conditions", np.int64), ("decisions", np.int64),
                             ("supports", np.int64), ("confidences", np.float64)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
@@ -97,7 +98,7 @@ class RuleSet:
             raise ValueError("expected one condition row, decision, support and confidence per rule")
         _check_bins(self.conditions, self.attribute_bin_counts, "rule")
         for name, values, allowed, ok in (
-                ("decision", self.decisions, "in {0, 1}", np.isin(self.decisions, (0, 1))),
+                ("decision", labels, "in {0, 1}", (labels == 0) | (labels == 1)),
                 ("support", self.supports, ">= 1", self.supports >= 1),
                 ("confidence", self.confidences, "in [0, 1]",
                  (self.confidences >= 0) & (self.confidences <= 1))):
@@ -159,9 +160,9 @@ def _row_keys(
 
     ``columns`` yields at least one ``(bins, count)`` pair, every bin in [0, count),
     and each one turns the keys into ``key * count + bins``. Before the radix
-    would pass KEY_LIMIT the partial keys are renumbered: by ``np.unique``
-    when ``dictionaries`` is None, otherwise by their position in the next
-    of those sorted partial keys, -1 where absent (a negative key stays
+    would pass KEY_LIMIT the partial keys are renumbered by their position in
+    sorted distinct partial keys: their own (``np.unique``) when ``dictionaries``
+    is None, otherwise the next of those, -1 where absent (a negative key stays
     negative, so it never matches). Returns the keys and the distinct partial
     keys renumbered with. Two keys are equal exactly when their rows are,
     however wide the table; a count too large for even the renumbered keys
@@ -172,11 +173,8 @@ def _row_keys(
     keys, renumbered = np.array(bins, dtype=np.int64), []
     for bins, count in columns:
         if radix * count > KEY_LIMIT:
-            if dictionaries is None:
-                distinct, keys = np.unique(keys, return_inverse=True)
-            else:
-                distinct = dictionaries[len(renumbered)]
-                keys = _find(distinct, keys)
+            distinct = np.unique(keys) if dictionaries is None else dictionaries[len(renumbered)]
+            keys = _find(distinct, keys)
             renumbered.append(distinct)
             radix = distinct.size
             if radix * count > KEY_LIMIT:

@@ -37,8 +37,8 @@ from roughcut.aco import (
     _RankedSplit,
     _row_sums,
 )
-from roughcut.discretize import interior_cuts
 from roughcut.roughset import KEY_LIMIT
+from test_discretize import interior_cuts
 
 
 def make_table(values, decisions):

@@ -1,5 +1,6 @@
 """Equal frequency binning, bin application, and the percentile grid."""
 
+import re
 import sys
 
 import numpy as np
@@ -14,13 +15,23 @@ from roughcut import (
     DiscretizedTable,
     RuleSet,
     apply_cuts,
+    confusion,
     cuts_from_json,
     cuts_to_json,
     efb_cuts,
     percentile_to_cut,
     percentile_value_grid,
 )
-from roughcut.discretize import interior_cuts
+
+
+def interior_cuts(raw, lo, hi):
+    """The cut-keep rule as a loop: a raw cut becomes a cut when it lies
+    strictly inside (lo, hi) and above the last cut kept."""
+    kept = []
+    for c in raw:
+        if lo < c < hi and (not kept or c > kept[-1]):
+            kept.append(c)
+    return tuple(kept)
 
 
 def make_table(columns):
@@ -158,6 +169,27 @@ def test_discretized_table_rejects_decisions_outside_zero_and_one():
             DiscretizedTable([[0], [1]], decisions, (2,))
 
 
+def test_every_label_check_rejects_and_accepts_the_same_labels():
+    # DecisionTable, DiscretizedTable, RuleSet and confusion each check labels;
+    # they check them as given, so 0.5 is not truncated to 0 first.
+    for label in (2, -1, 0.5):
+        labels = np.array([0, label])
+        with pytest.raises(ValueError, match="^decisions must be 0 or 1$"):
+            DecisionTable(("a",), np.zeros((2, 1)), labels)
+        with pytest.raises(ValueError, match="^decisions must be 0 or 1$"):
+            DiscretizedTable([[0], [0]], labels, (1,))
+        with pytest.raises(ValueError, match=re.escape(f"rule 1: decision {label} is not in {{0, 1}}")):
+            RuleSet([[0], [1]], labels, [1, 1], [1.0, 1.0], 0, (2,))
+        with pytest.raises(ValueError, match="^actuals must be binary$"):
+            confusion(np.array([0, 1]), labels)
+    for dtype in (np.int64, np.float64, bool):
+        labels = np.array([0, 1], dtype=dtype)
+        assert DecisionTable(("a",), np.zeros((2, 1)), labels).decisions.tolist() == [0, 1]
+        assert DiscretizedTable([[0], [0]], labels, (1,)).decisions.tolist() == [0, 1]
+        assert RuleSet([[0], [1]], labels, [1, 1], [1.0, 1.0], 0, (2,)).decisions.tolist() == [0, 1]
+        assert confusion(labels, labels) == confusion([0, 1], [0, 1])
+
+
 def test_discretized_table_names_the_first_out_of_range_bin():
     with pytest.raises(ValueError, match=r"^object 1: bin index out of range for attribute 0 \(3 bins\)$"):
         DiscretizedTable([[0], [3]], [0, 1], (3,))
@@ -250,3 +282,52 @@ def test_apply_cuts_matches_searchsorted_per_attribute(case):
     assert binned.bins.dtype == np.int64
     assert binned.bins.tolist() == expected.tolist()
     assert binned.attribute_bin_counts == cuts.bin_counts()
+
+
+def efb_oracle(table, num_cuts):
+    """efb_cuts one attribute and one boundary at a time: the sorted column,
+    boundary index Python round(n * q / (num_cuts + 1)) clamped to [1, n - 1],
+    the midpoint of the two values straddling it, and the loop keep rule."""
+    n = table.n_objects
+    per_attribute = []
+    for column in table.values.T:
+        col = np.sort(column).tolist()
+        raw = []
+        for q in range(1, num_cuts + 1):
+            b = min(max(round(n * q / (num_cuts + 1)), 1), n - 1)
+            raw.append((col[b - 1] + col[b]) / 2.0)
+        per_attribute.append(interior_cuts(raw, col[0], col[-1]))
+    return per_attribute
+
+
+@st.composite
+def efb_tables(draw):
+    """A table of 2-40 objects and 1-4 attributes, and a num_cuts in [1, 99].
+
+    A column is constant, drawn from four tied values, or finite floats mixed
+    with the edge values; the midpoint of 1e308 and the largest float
+    overflows to inf.
+    """
+    n = draw(st.one_of(st.just(2), st.integers(2, 40)))
+    value = st.sampled_from(EDGE_VALUES + (sys.float_info.max, -sys.float_info.max)) | FINITE
+    column = st.one_of(
+        value.map(lambda v: [v] * n),
+        st.lists(st.sampled_from((-1.0, 0.0, 1.0, 2.0)), min_size=n, max_size=n),
+        st.lists(value, min_size=n, max_size=n),
+    )
+    return make_table(draw(st.lists(column, min_size=1, max_size=4))), draw(st.integers(1, 99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=efb_tables())
+@example(case=(make_table([[-sys.float_info.max, -1e308, 1e308, sys.float_info.max]]), 3))
+@example(case=(make_table([[5.0, 5.0], [1.0, 2.0]]), 99))
+@example(case=(make_table([[1.0, 2.0, 3.0, 4.0, 5.0]]), 1))  # boundary 2.5 rounds half to even
+@example(case=(make_table([[0.0, -0.0, -0.0, 0.0, 1.0, 1.0, 1.0]]), 6))
+def test_efb_cuts_match_the_per_boundary_loop(case):
+    table, num_cuts = case
+    with np.errstate(over="ignore"):
+        cuts = efb_cuts(table, num_cuts).cuts_per_attribute
+    expected = efb_oracle(table, num_cuts)
+    # float.hex tells -0.0 from 0.0, which == does not
+    assert [[c.hex() for c in attr] for attr in cuts] == [[c.hex() for c in attr] for attr in expected]
