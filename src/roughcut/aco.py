@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import DecisionTable, SplitSpec, _frozen, split
 from .discretize import CutSet, _kept_cuts, apply_cuts, percentile_value_grid
-from .roughset import _row_keys, classify_table, induce_rules
+from .roughset import _majority, _row_keys, classify_table, induce_rules
 
 N_POSITIONS = 99  # candidate percentiles 1..99
 TAU_INIT = 1.0
@@ -76,7 +76,7 @@ class PheromoneModel:
         object.__setattr__(self, "tau", _frozen(self.tau, np.float64))
         if self.tau.ndim != 2 or self.tau.shape[1] != N_POSITIONS:
             raise ValueError(f"tau must be (n_attributes, {N_POSITIONS})")
-        if (self.tau <= 0).any():
+        if not (self.tau > 0).all():
             raise ValueError("tau must be strictly positive")
 
     @property
@@ -209,8 +209,7 @@ class _RankedSplit:
                                for grid, column in zip(self.grid, joint.values.T)])
         self.codes = np.concatenate([fit.decisions, 2 + validation.decisions]).astype(np.uint64)
         self.n_validation = validation.n_objects
-        ones = int(fit.decisions.sum())
-        self.prior = 1 if ones >= fit.n_objects - ones else 0
+        self.prior = int(_majority(*fit.class_counts(), 1))
 
     def _picked(self, percentiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid values of picks shaped (..., n_attributes, num_cuts), and which become cuts.
@@ -236,10 +235,11 @@ class _RankedSplit:
         Rows are keyed by the ``roughset`` cell key, ant first. Keys are below
         KEY_LIMIT = 2**62, so ``key * 4 + code`` fits in uint64, and after one
         sort of these decision-tagged keys each run of equal keys holds one
-        (cell, code) pair's rows. A cell takes the fit majority, ties and
-        cells without fit rows going to the fit prior as in ``induce_rules``.
-        The ant is the leading key digit, renumbering keeps the order of keys,
-        and every ant has one row per object, so ant i's rows are sorted
+        (cell, code) pair's rows. ``roughset._majority`` decides a cell d from its
+        fit counts, as in ``induce_rules``, ties (0-0 without fit rows, as in
+        ``classify_table``) going to the fit prior; its rows of code 3 - d are
+        wrong. The ant is the leading key digit, renumbering keeps the order of
+        keys, and every ant has one row per object, so ant i's rows are sorted
         positions [i * rows, (i + 1) * rows): a cell's first row names its ant.
         """
         n_ants, n_attributes, k = percentiles.shape
@@ -265,8 +265,7 @@ class _RankedSplit:
         new_cell = np.concatenate(([True], tagged[1:] >> 2 != tagged[:-1] >> 2))
         counts = np.zeros((new_cell.sum(), 4), dtype=np.int64)
         counts[new_cell.cumsum() - 1, tagged & 3] = np.diff(starts, append=keys.size)
-        margin = counts[:, 1] - counts[:, 0]  # deciding d, a cell gets code 3 - d wrong
-        wrong = counts[np.arange(len(counts)), 3 - np.where(margin == 0, self.prior, margin > 0)]
+        wrong = counts[np.arange(len(counts)), 3 - _majority(counts[:, 0], counts[:, 1], self.prior)]
         return np.bincount(starts[new_cell] // n_rows, wrong, n_ants) / self.n_validation
 
 

@@ -30,7 +30,7 @@ class CutSet:
         normalized = []
         for a, cuts in enumerate(self.cuts_per_attribute):
             cuts = tuple(float(c) for c in cuts)
-            if any(b <= a_ for a_, b in zip(cuts, cuts[1:])):
+            if any(map(math.isnan, cuts)) or not all(a_ < b for a_, b in zip(cuts, cuts[1:])):
                 raise ValueError(f"attribute {a}: cuts must be strictly ascending")
             normalized.append(cuts)
         object.__setattr__(self, "cuts_per_attribute", tuple(normalized))
@@ -62,18 +62,15 @@ def _bin_counts(counts) -> tuple[int, ...]:
 
 
 def _out_of_range(bins: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """Mask of the bins outside [0, count) for their attribute."""
-    return (bins < 0) | (bins >= np.asarray(counts, dtype=np.int64))
+    """Mask of int64 bins outside [0, count): viewed as uint64, a negative bin is above every count."""
+    return bins.view(np.uint64) >= np.asarray(counts, dtype=np.uint64)
 
 
 def _check_bins(bins: np.ndarray, counts: tuple[int, ...], row_name: str) -> None:
-    """Raise ValueError naming the first row and attribute with a bin outside [0, count).
-
-    Two reductions tell whether any bin is out of range; the element mask is
-    built only to name the first one.
-    """
-    if bins.size and (bins.min() < 0 or (bins >= np.asarray(counts, dtype=np.int64)).any()):
-        row, attr = (int(i) for i in np.argwhere(_out_of_range(bins, counts))[0])
+    """Raise ValueError naming the first row and attribute with an int64 bin outside [0, count)."""
+    out = _out_of_range(bins, counts)
+    if out.any():
+        row, attr = (int(i) for i in np.argwhere(out)[0])
         raise ValueError(f"{row_name} {row}: bin index out of range for attribute {attr} ({counts[attr]} bins)")
 
 

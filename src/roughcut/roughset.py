@@ -267,29 +267,32 @@ def membership(part: Partition, decisions: Sequence[int], obj: int, target: int)
     return hits / len(members)
 
 
+def _majority(zeros, ones, tie):
+    """The class with the larger count, elementwise, or ``tie`` where the counts are equal."""
+    return np.where(zeros == ones, tie, ones > zeros)
+
+
 def induce_rules(table: DiscretizedTable) -> RuleSet:
     """One rule per equivalence class of the full-attribute partition.
 
-    The rule takes the class's majority label (ties broken toward the
+    The rule takes the class's ``_majority`` label (ties broken toward the
     globally more frequent class, then toward label 1); its confidence is
     the majority fraction, so certain rules are exactly the lower
     approximation's classes.
     """
     if table.n_objects == 0:
         raise ValueError("cannot induce rules from an empty table")
-    total_ones = int(table.decisions.sum())
-    total_zeros = table.n_objects - total_ones
+    total_zeros, total_ones = np.bincount(table.decisions, minlength=2)
     if total_ones == 0 or total_zeros == 0:
         raise ValueError("training table must contain both decision classes")
-    prior_winner = 1 if total_ones >= total_zeros else 0
+    prior = int(_majority(total_zeros, total_ones, 1))
 
     first, cell_of = _group_rows(table.bins, table.attribute_bin_counts)
     sizes = np.bincount(cell_of)
     ones = np.bincount(cell_of[table.decisions == 1], minlength=sizes.size)
-    zeros = sizes - ones
-    decisions = np.where(ones > zeros, 1, np.where(zeros > ones, 0, prior_winner))
-    confidences = np.where(decisions == 1, ones, zeros) / sizes
-    return RuleSet(table.bins[first], decisions, sizes, confidences, prior_winner,
+    decisions = _majority(sizes - ones, ones, prior)
+    confidences = np.maximum(ones, sizes - ones) / sizes
+    return RuleSet(table.bins[first], decisions, sizes, confidences, prior,
                    table.attribute_bin_counts)
 
 

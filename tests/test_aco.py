@@ -472,6 +472,13 @@ def test_pheromone_model_validation():
         PheromoneModel(np.ones((2, 5)))
     with pytest.raises(ValueError):
         PheromoneModel(np.zeros((1, N_POSITIONS)))
+    for nan_at in (0, N_POSITIONS - 1):
+        tau = np.ones((2, N_POSITIONS))
+        tau[1, nan_at] = np.nan
+        with pytest.raises(ValueError, match="strictly positive"):
+            PheromoneModel(tau)
+    with pytest.raises(ValueError, match="strictly positive"):
+        PheromoneModel(np.full((1, N_POSITIONS), np.nan))
 
 
 def test_aco_params_validation():

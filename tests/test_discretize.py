@@ -1,5 +1,6 @@
 """Equal frequency binning, bin application, and the percentile grid."""
 
+import json
 import re
 import sys
 
@@ -141,6 +142,12 @@ def test_cutset_validation_and_bin_counts():
         CutSet(((2.0, 2.0),))
     with pytest.raises(ValueError, match="ascending"):
         CutSet(((3.0, 1.0),))
+    # NaN compares false both ways, so it is neither ascending nor a cut.
+    for bad in ((1.0, float("nan"), 0.5), (float("nan"),), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="ascending"):
+            CutSet(((0.0,), bad))
+    with pytest.raises(ValueError, match="ascending"):
+        cuts_from_json(json.loads('{"a": [NaN]}'), ("a",))
     cuts = CutSet(((1.0, 2.0), (5.0,), ()))
     assert cuts.n_attributes == 3
     assert cuts.bin_counts() == (3, 2, 1)

@@ -685,7 +685,12 @@ def test_rule_keys_and_match_match_the_searchsorted_reference(case, data):
     outside[:, -1] = counts[-1]
     below = distinct.copy()
     below[:, 0] = -1
-    candidates = np.vstack([distinct, absent, outside, below, bins])
+    # Rows holding the int64 extremes, whose keys wrap: they match no rule.
+    extreme = np.vstack([distinct, distinct])
+    extreme[:n, 0] = np.iinfo(np.int64).max
+    extreme[n:, -1] = np.iinfo(np.int64).min
+    assert (rules.match(extreme) == -1).all()
+    candidates = np.vstack([distinct, absent, outside, below, extreme, bins])
     if data is None:
         queries = candidates[np.arange(2 * len(candidates)) % len(candidates)]
     else:
