@@ -2,6 +2,8 @@
 cost pass against the per-ant cost, pheromone updates, and the optimize
 loop's determinism and convergence bookkeeping."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -198,32 +200,35 @@ def test_evaluate_solution_matches_straight_line_oracle():
 
 def test_construct_solution_draws_like_rng_choice():
     rng = np.random.default_rng(521)
-    model = PheromoneModel(rng.uniform(0.05, 20.0, (3, N_POSITIONS)))
-    params = AcoParams(num_cuts=3, alpha=1.3)
-    weights = model.tau ** params.alpha
+    taus = [rng.uniform(0.05, 20.0, (3, N_POSITIONS)), 10.0 ** rng.uniform(-6, 6, (3, N_POSITIONS))]
+    # at 99 cuts every pick has exactly one feasible position; fewer ants keep the reference fast
+    for tau, (num_cuts, n_ants) in itertools.product(taus, [(3, 200), (1, 200), (99, 10)]):
+        model = PheromoneModel(tau)
+        params = AcoParams(num_cuts=num_cuts, alpha=1.3)
+        weights = model.tau ** params.alpha
 
-    def reference(gen):
-        picks = []
-        for a in range(3):
-            chosen, prev = [], 0
-            for c in range(params.num_cuts):
-                positions = np.arange(prev + 1, N_POSITIONS - (params.num_cuts - c - 1) + 1)
-                w = model.tau[a, positions - 1] ** params.alpha
-                prev = int(gen.choice(positions, p=w / w.sum()))
-                chosen.append(prev)
-            picks.append(chosen)
-        return picks
+        def reference(gen):
+            picks = []
+            for a in range(3):
+                chosen, prev = [], 0
+                for c in range(params.num_cuts):
+                    positions = np.arange(prev + 1, N_POSITIONS - (params.num_cuts - c - 1) + 1)
+                    w = model.tau[a, positions - 1] ** params.alpha
+                    prev = int(gen.choice(positions, p=w / w.sum()))
+                    chosen.append(prev)
+                picks.append(chosen)
+            return picks
 
-    ours, theirs = np.random.default_rng(522), np.random.default_rng(522)
-    picks = _construct(weights, ours.random((200, 3, params.num_cuts)))
-    for ant in picks:
-        assert ant.tolist() == reference(theirs)
-    assert ours.random() == theirs.random()
-    # optimize's path: each ant's own (seed, iteration, ant) stream
-    draws = np.stack([np.random.default_rng((7, 0, ant)).random(3 * params.num_cuts)
-                      for ant in range(100)]).reshape(100, 3, params.num_cuts)
-    for ant, got in enumerate(_construct(weights, draws)):
-        assert got.tolist() == reference(np.random.default_rng((7, 0, ant)))
+        ours, theirs = np.random.default_rng(522), np.random.default_rng(522)
+        picks = _construct(weights, ours.random((n_ants, 3, params.num_cuts)))
+        for ant in picks:
+            assert ant.tolist() == reference(theirs)
+        assert ours.random() == theirs.random()
+        # optimize's path: each ant's own (seed, iteration, ant) stream
+        draws = np.stack([np.random.default_rng((7, 0, ant)).random(3 * params.num_cuts)
+                          for ant in range(n_ants // 2)]).reshape(n_ants // 2, 3, params.num_cuts)
+        for ant, got in enumerate(_construct(weights, draws)):
+            assert got.tolist() == reference(np.random.default_rng((7, 0, ant)))
 
 
 def row_sums_cases():
