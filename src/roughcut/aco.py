@@ -8,12 +8,15 @@ probability proportional to its pheromone tau raised to alpha. Pheromone on
 proportion to 1/cost.
 
 ``optimize`` handles all ants of an iteration at once: ``_construct`` draws
-cut c for every (ant, attribute) pair in one array pass, ``_RankedSplit``
-costs every ant through per-ant rank -> bin lookup tables and one sort of
-decision-tagged cell keys, and ``_deposit`` adds every ant's pheromone with
-one ``np.add.at``. Picks stay an int64 array; which of their values become
-cuts is ``discretize._kept_cuts``, the rule ``efb_cuts`` keeps its cuts by,
-and cut values are realized (``_RankedSplit.cuts``) only for a new best.
+cut c for every (ant, attribute) pair in one array pass, with one masked
+``sum`` of the feasible weights. Its draws are ``Generator.choice``'s bit for
+bit because numpy's masked reduction sums each contiguous run of the mask
+from 0 in one pass, as ``w.sum()`` does. ``_RankedSplit`` costs every ant
+through per-ant rank -> bin lookup tables and one sort of decision-tagged
+cell keys, and ``_deposit`` adds every ant's pheromone with one
+``np.add.at``. Picks stay an int64 array; which of their values become cuts
+is ``discretize._kept_cuts``, the rule ``efb_cuts`` keeps its cuts by, and
+cut values are realized (``_RankedSplit.cuts``) only for a new best.
 ``evaluate_solution`` is the same cost for one ant.
 """
 
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import DecisionTable, SplitSpec, _frozen, split
 from .discretize import CutSet, _kept_cuts, apply_cuts, percentile_value_grid
@@ -76,8 +78,8 @@ class PheromoneModel:
         object.__setattr__(self, "tau", _frozen(self.tau, np.float64))
         if self.tau.ndim != 2 or self.tau.shape[1] != N_POSITIONS:
             raise ValueError(f"tau must be (n_attributes, {N_POSITIONS})")
-        if not (self.tau > 0).all():
-            raise ValueError("tau must be strictly positive")
+        if not ((self.tau > 0) & (self.tau < np.inf)).all():
+            raise ValueError("tau must be finite and strictly positive")
 
     @property
     def n_attributes(self) -> int:
@@ -105,48 +107,23 @@ def initial_model(n_attributes: int) -> PheromoneModel:
     return PheromoneModel(np.full((n_attributes, N_POSITIONS), TAU_INIT))
 
 
-def _row_sums(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``rows[i, :lengths[i]].sum()`` for every row, bit for bit, for lengths up to 128.
-
-    ``rows`` is zero beyond each length. numpy sums a contiguous float64 run
-    of n <= 128 elements in one block of its pairwise sum: below 8 elements
-    in order; otherwise eight lanes accumulate the full 8-wide blocks, the
-    lanes combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the remaining
-    n % 8 elements are added in order. Adding a padding zero changes no sum.
-    """
-    n_rows, width = rows.shape
-    n_blocks = lengths // 8  # full blocks; below 8 elements, none
-    blocks = np.zeros((n_rows, width // 8 + 1, 8))
-    blocks.reshape(n_rows, -1)[:, :width] = rows
-    index = np.arange(n_rows)
-    rest = blocks[index, n_blocks].T.copy()  # the n % 8 elements after the full blocks, then zeros
-    blocks[index, n_blocks] = 0.0
-    lanes = blocks.transpose(1, 2, 0).copy()  # (block, lane, row)
-    r = lanes[0]
-    for block in lanes[1:]:
-        r += block
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for element in rest[:7]:
-        total += element
-    return total
-
-
-def _choice_cdf(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _choice_cdf(rows: np.ndarray, feasible: np.ndarray) -> np.ndarray:
     """Cumulative distributions ``Generator.choice(p=w / w.sum())`` draws from, one per row.
 
-    Row i holds the weights w in its first ``lengths[i]`` entries and zeros
-    after them. For ``u = rng.random()``, the number of entries of row i
-    that are <= u is the index ``choice`` returns, bit for bit, from the same
-    RNG stream: it is ``searchsorted(u, side="right")`` on the same numbers,
-    and the padding entries come out as exactly 1.0, which no u reaches.
+    Row i's weights w are its entries where ``feasible[i]`` holds, one
+    contiguous run. numpy's masked reduction sums each contiguous run of the
+    mask from 0 in one pass, as ``w.sum()`` does, so the totals match bit for
+    bit. Entries before the run come out as 0.0 and after it as exactly 1.0,
+    so the number of entries <= ``u = rng.random()`` is the index ``choice``
+    returns from the same stream plus the number of entries before the run.
     """
-    total = _row_sums(rows, lengths)
+    total = rows.sum(axis=1, where=feasible)
     failed = (total <= 0) | ~np.isfinite(total)
     if failed.any():
         raise ValueError(f"selection weights tau ** alpha sum to {total[failed.argmax()]}; "
                          f"use a smaller alpha")
-    cdf = (rows / total[:, None]).cumsum(axis=1)
-    cdf /= cdf[np.arange(len(rows)), lengths - 1, None]
+    cdf = np.divide(rows, total[:, None], out=np.zeros(rows.shape), where=feasible).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     return cdf
 
 
@@ -163,17 +140,14 @@ def _construct(weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
     ``draws``.
     """
     n_ants, n_attributes, k = draws.shape
-    attributes = np.tile(np.arange(n_attributes), n_ants)
+    rows = np.tile(weights, (n_ants, 1))  # row i: attribute i % n_attributes
+    positions = np.arange(1, N_POSITIONS + 1)
     picks = np.empty(draws.shape, dtype=np.int64).reshape(-1, k)
     prev = np.zeros(len(picks), dtype=np.int64)
     for c, u in enumerate(draws.reshape(-1, k).T):
-        upper = N_POSITIONS - (k - c - 1)
-        feasible = np.zeros((n_attributes, 2 * N_POSITIONS))
-        feasible[:, :upper] = weights[:, :upper]
-        # row i: the weights of positions prev[i] + 1 .. upper, then zeros
-        rows = sliding_window_view(feasible, N_POSITIONS, axis=1)[attributes, prev]
-        cdf = _choice_cdf(rows, upper - prev)
-        prev = prev + 1 + (cdf <= u[:, None]).sum(axis=1)
+        # row i's feasible run starts at prev[i] + 1; the prev[i] entries before it count as <= u
+        feasible = (positions > prev[:, None]) & (positions <= N_POSITIONS - (k - c - 1))
+        prev = 1 + (_choice_cdf(rows, feasible) <= u[:, None]).sum(axis=1)
         picks[:, c] = prev
     return picks.reshape(draws.shape)
 
@@ -277,11 +251,15 @@ def _deposit(
     ``percentiles`` is (ants, n_attributes, num_cuts) and ``costs`` is (ants,).
     Deposits are added in (ant, attribute, pick) order.
     """
-    amounts = params.q_deposit / np.maximum(costs, COST_FLOOR)
-    deposits = np.zeros_like(model.tau)
-    attributes = np.arange(model.n_attributes)[:, None]
-    np.add.at(deposits, (attributes, percentiles - 1), amounts[:, None, None])
-    tau = np.maximum((1.0 - params.rho) * model.tau + deposits, TAU_FLOOR)
+    with np.errstate(over="ignore"):  # an overflow fails the check below, not with a warning
+        amounts = params.q_deposit / np.maximum(costs, COST_FLOOR)
+        deposits = np.zeros_like(model.tau)
+        attributes = np.arange(model.n_attributes)[:, None]
+        np.add.at(deposits, (attributes, percentiles - 1), amounts[:, None, None])
+        tau = np.maximum((1.0 - params.rho) * model.tau + deposits, TAU_FLOOR)
+    if not (tau < np.inf).all():
+        raise ValueError(f"pheromone tau overflows with q_deposit = {params.q_deposit}; "
+                         f"use a smaller q_deposit")
     return PheromoneModel(tau)
 
 

@@ -3,6 +3,7 @@ cost pass against the per-ant cost, pheromone updates, and the optimize
 loop's determinism and convergence bookkeeping."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -34,10 +35,10 @@ from roughcut.aco import (
     FIT_FRACTION,
     N_POSITIONS,
     TAU_FLOOR,
+    _choice_cdf,
     _construct,
     _deposit,
     _RankedSplit,
-    _row_sums,
 )
 from roughcut.roughset import KEY_LIMIT
 from test_discretize import interior_cuts
@@ -231,6 +232,18 @@ def test_construct_solution_draws_like_rng_choice():
             assert got.tolist() == reference(np.random.default_rng((7, 0, ant)))
 
 
+def test_construct_solution_draws_on_a_cdf_step_like_rng_choice():
+    # choice returns searchsorted(cdf, u, side="right"): a draw equal to a
+    # cumulative probability moves past it, and a draw of 0.0 picks the first
+    # feasible position, also above an earlier pick
+    weights = np.zeros((1, N_POSITIONS))
+    weights[0, :4] = 1.0  # cdf 0.25, 0.5, 0.75, then 1.0
+    draws = np.array([0.0, 0.25, 0.5, 0.75, 0.9])[:, None, None]
+    assert _construct(weights, draws)[:, 0, 0].tolist() == [1, 2, 3, 4, 4]
+    uniform = np.ones((1, N_POSITIONS))
+    assert _construct(uniform, np.array([[[0.3, 0.0]]])).tolist() == [[[30, 31]]]
+
+
 def row_sums_cases():
     """Weight rows from subnormal to 1e300, and rows that sum to 0.0 and to inf."""
     rng = np.random.default_rng(525)
@@ -247,15 +260,23 @@ def row_sums_cases():
 
 @pytest.mark.parametrize("weights", [pytest.param(w, id=name) for name, w in row_sums_cases().items()])
 def test_row_sums_match_numpy_sum_bit_for_bit(weights):
+    """``_choice_cdf`` totals every feasible run as ``w.sum()`` does, and builds choice's cdf from it."""
     starts, lengths = np.array([(start, n) for start in range(N_POSITIONS)
                                 for n in range(1, N_POSITIONS - start + 1)]).T
-    positions = starts[:, None] + np.arange(N_POSITIONS)
-    rows = np.where(np.arange(N_POSITIONS) < lengths[:, None],
-                    weights[np.minimum(positions, N_POSITIONS - 1)], 0.0)
+    positions = np.arange(N_POSITIONS)
+    feasible = (positions >= starts[:, None]) & (positions < (starts + lengths)[:, None])
+    rows = np.tile(weights, (len(starts), 1))
     with np.errstate(over="ignore"):
-        want = np.array([weights[start:start + n].sum() for start, n in zip(starts, lengths)])
-        got = _row_sums(rows, lengths)
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        totals = np.array([weights[start:start + n].sum() for start, n in zip(starts, lengths)])
+        ok = (totals > 0) & (totals < np.inf)
+        for i in np.flatnonzero(~ok):
+            with pytest.raises(ValueError, match=re.escape(f"weights tau ** alpha sum to {totals[i]};")):
+                _choice_cdf(rows[i:i + 1], feasible[i:i + 1])
+    for cdf, start, n, total in zip(_choice_cdf(rows[ok], feasible[ok]), starts[ok], lengths[ok], totals[ok]):
+        want = (weights[start:start + n] / total).cumsum()
+        want /= want[-1]
+        np.testing.assert_array_equal(cdf[start:start + n].view(np.uint64), want.view(np.uint64))
+        assert (cdf[:start] == 0.0).all() and (cdf[start + n:] == 1.0).all()
 
 
 def realize(ranked, picks):
@@ -484,6 +505,13 @@ def test_pheromone_model_validation():
             PheromoneModel(tau)
     with pytest.raises(ValueError, match="strictly positive"):
         PheromoneModel(np.full((1, N_POSITIONS), np.nan))
+    for inf_at in (0, N_POSITIONS - 1):
+        tau = np.ones((2, N_POSITIONS))
+        tau[1, inf_at] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            PheromoneModel(tau)
+    with pytest.raises(ValueError, match="finite"):
+        PheromoneModel(np.full((1, N_POSITIONS), np.inf))
 
 
 def test_aco_params_validation():

@@ -331,6 +331,19 @@ def test_run_aco_rejects_an_alpha_whose_weights_leave_float_range(tmp_path, caps
     assert not (out / "report.json").exists()
 
 
+def test_run_aco_rejects_a_q_deposit_whose_pheromone_overflows(tmp_path, capsys):
+    # q / COST_FLOOR = 1e311 leaves float range at the first deposit
+    out = tmp_path / "run"
+    args = run_args(out, discretizer="aco", n=200, extra=["--iters", "2", "--ants", "2", "--q", "1e308"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        assert main(args) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if not line.startswith("iteration ")]
+    assert errors == ["error: pheromone tau overflows with q_deposit = 1e+308; use a smaller q_deposit"]
+    assert not (out / "report.json").exists()
+
+
 def test_run_rejects_bad_train_fraction(tmp_path, capsys):
     out = tmp_path / "run"
     args = run_args(out, extra=["--train-frac", "1.5"])
@@ -404,7 +417,7 @@ EDGE_FLAGS = {
     "--iters": ["-1", "0", "1", "2"],
     "--alpha": ["nan", "inf", "-1", "0", "200"],
     "--rho": ["nan", "inf", "-1", "0", "200"],
-    "--q": ["nan", "inf", "-1", "0", "200"],
+    "--q": ["nan", "inf", "-1", "0", "200", "1e308"],
     "--seed": ["-1", "0", str(2**63)],
     "--workers": ["-1", "0", "1", "2"],
 }
