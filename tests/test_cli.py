@@ -332,7 +332,7 @@ def test_run_aco_rejects_an_alpha_whose_weights_leave_float_range(tmp_path, caps
 
 
 def test_run_aco_rejects_a_q_deposit_whose_pheromone_overflows(tmp_path, capsys):
-    # q / COST_FLOOR = 1e311 leaves float range at the first deposit
+    # q / cost leaves float range at the first deposit for any cost below 0.55
     out = tmp_path / "run"
     args = run_args(out, discretizer="aco", n=200, extra=["--iters", "2", "--ants", "2", "--q", "1e308"])
     with warnings.catch_warnings():
