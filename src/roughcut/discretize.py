@@ -29,6 +29,8 @@ class CutSet:
     def __post_init__(self):
         normalized = []
         for a, cuts in enumerate(self.cuts_per_attribute):
+            if isinstance(cuts, (str, bytes)):
+                raise ValueError(f"attribute {a}: cuts must be a sequence of numbers, not {type(cuts).__name__}")
             cuts = tuple(float(c) for c in cuts)
             if any(map(math.isnan, cuts)) or not all(a_ < b for a_, b in zip(cuts, cuts[1:])):
                 raise ValueError(f"attribute {a}: cuts must be strictly ascending")
@@ -123,6 +125,7 @@ def efb_cuts(table: DecisionTable, num_cuts: int) -> CutSet:
     when the object count is not divisible). Attributes with too few distinct
     values yield fewer cuts; constant attributes yield none.
     """
+    num_cuts = _integer(num_cuts, "num_cuts")
     if num_cuts < 1:
         raise ValueError("num_cuts must be positive")
     n = table.n_objects
@@ -167,6 +170,9 @@ def percentile_to_cut(table: DecisionTable, attribute: int, p: int) -> float:
     """Nearest-rank p-th percentile of an attribute: the ceil(p*n/100)-th sorted value."""
     if not 1 <= p <= 99:
         raise ValueError("percentile must lie in [1, 99]")
+    attribute = _integer(attribute, "attribute")
+    if not 0 <= attribute < table.n_attributes:
+        raise ValueError(f"attribute {attribute} is not in [0, {table.n_attributes})")
     return float(percentile_value_grid(table)[attribute, p - 1])
 
 
@@ -193,4 +199,4 @@ def cuts_from_json(payload: dict, attribute_names: tuple[str, ...]) -> CutSet:
     missing = [name for name in attribute_names if name not in payload]
     if missing:
         raise ValueError(f"cut set JSON missing attributes: {missing}")
-    return CutSet(tuple(tuple(float(c) for c in payload[name]) for name in attribute_names))
+    return CutSet(tuple(payload[name] for name in attribute_names))

@@ -7,7 +7,7 @@ every attribute considered; each equivalence class becomes one if-then rule.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -262,6 +262,11 @@ def approximate(part: Partition, decisions: Sequence[int], target: int) -> Appro
 def membership(part: Partition, decisions: Sequence[int], obj: int, target: int) -> float:
     """Rough membership: fraction of the object's class carrying the target label."""
     decisions = np.asarray(decisions)
+    if decisions.shape[0] != part.n_objects:
+        raise ValueError("decisions must label exactly the partitioned objects")
+    obj = _integer(obj, "object")
+    if not 0 <= obj < part.n_objects:
+        raise ValueError(f"object {obj} is not in [0, {part.n_objects})")
     members = part.classes[int(part.class_of[obj])]
     hits = int((decisions[list(members)] == target).sum())
     return hits / len(members)
@@ -296,38 +301,31 @@ def induce_rules(table: DiscretizedTable) -> RuleSet:
                    table.attribute_bin_counts)
 
 
-def _predict(rules: RuleSet, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decisions and class-1 scores for each row of a bin matrix."""
-    at = rules.match(bins)
-    _check_bins(bins, rules.attribute_bin_counts, "object")
+def classify_table(rules: RuleSet, table: DiscretizedTable) -> tuple[np.ndarray, np.ndarray]:
+    """Classify every object of a discretized table; returns (decisions, scores).
+
+    The score is the implied P(class 1). An object matching a rule gets its
+    decision with score equal to its confidence (decision 1) or one minus it
+    (decision 0); an unmatched object gets the default decision with a
+    neutral score of 0.5.
+    """
+    at = rules.match(table.bins)
+    _check_bins(table.bins, rules.attribute_bin_counts, "object")
     # Position -1, no matching rule, picks the fallback appended last.
     decisions = np.append(rules.decisions, rules.default_decision)
     scores = np.where(rules.decisions == 1, rules.confidences, 1.0 - rules.confidences)
     return decisions[at], np.append(scores, 0.5)[at]
 
 
-def classify(rules: RuleSet, bins: Sequence[int]) -> tuple[int, float]:
-    """Classify one bin vector; the score is the implied P(class 1).
-
-    An exact-condition rule yields its decision with score equal to its
-    confidence (decision 1) or one minus it (decision 0). Unmatched vectors
-    fall back to the default decision with a neutral score of 0.5.
-    """
-    decisions, scores = _predict(rules, np.asarray(bins, dtype=np.int64).reshape(1, -1))
-    return int(decisions[0]), float(scores[0])
-
-
-def classify_table(rules: RuleSet, table: DiscretizedTable) -> tuple[np.ndarray, np.ndarray]:
-    """Classify every object of a discretized table; returns (decisions, scores)."""
-    return _predict(rules, table.bins)
-
-
 def ruleset_to_json(rules: RuleSet) -> dict:
     """Serialize rules as the transparency artifact: one entry per rule."""
     return {
         "rules": [
-            {**asdict(rule), "conditions": {str(a): b for a, b in rule.conditions.items()}}
-            for rule in rules.rules
+            {"conditions": {str(a): b for a, b in enumerate(bins)}, "decision": decision,
+             "support": support, "confidence": confidence, "certain": confidence == 1.0}
+            for bins, decision, support, confidence in zip(
+                rules.conditions.tolist(), rules.decisions.tolist(),
+                rules.supports.tolist(), rules.confidences.tolist())
         ],
         "default_decision": rules.default_decision,
         "attribute_bin_counts": list(rules.attribute_bin_counts),

@@ -64,21 +64,28 @@ class GasProfile:
             raise ValueError("latent_weight must lie in [0, 1)")
 
 
+def _number(payload, *path: str) -> float:
+    """The number at ``path`` in a profile's JSON; ValueError naming the field if absent or malformed."""
+    node = payload
+    for depth, key in enumerate(path):
+        if not isinstance(node, dict) or key not in node:
+            raise ValueError(f"profile field {'.'.join(path[:depth + 1])} is missing")
+        node = node[key]
+    try:
+        return float(node)
+    except (TypeError, ValueError):
+        raise ValueError(f"profile field {'.'.join(path)} is not a number: {node!r}") from None
+
+
 def profile_from_json(payload: dict) -> GasProfile:
-    gases = {}
-    for name in GAS_NAMES:
-        entry = payload["gases"][name]
-        gases[name] = GasDistribution(
-            healthy_location=float(entry["healthy"]["location"]),
-            healthy_spread=float(entry["healthy"]["spread"]),
-            faulty_location=float(entry["faulty"]["location"]),
-            faulty_spread=float(entry["faulty"]["spread"]),
-        )
-    return GasProfile(
-        gases=gases,
-        fault_fraction=float(payload["fault_fraction"]),
-        latent_weight=float(payload["latent_weight"]),
-    )
+    """Rebuild a profile from its JSON form; a missing or malformed field raises ValueError naming it."""
+    gases = {
+        name: GasDistribution(*(_number(payload, "gases", name, state, parameter)
+                                for state in ("healthy", "faulty")
+                                for parameter in ("location", "spread")))
+        for name in GAS_NAMES
+    }
+    return GasProfile(gases, _number(payload, "fault_fraction"), _number(payload, "latent_weight"))
 
 
 def profile_to_json(profile: GasProfile) -> dict:

@@ -210,6 +210,27 @@ def test_profile_with_data_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def edited_profile(edit):
+    """The default profile's JSON text after ``edit`` changes its payload in place."""
+    payload = profile_to_json(default_profile())
+    edit(payload)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("payload, field", [
+    ("[1, 2]", "profile field gases is missing"),
+    (edited_profile(lambda p: p["gases"].pop("h2")), "profile field gases.h2 is missing"),
+    (edited_profile(lambda p: p.update(latent_weight=None)),
+     "profile field latent_weight is not a number: None"),
+], ids=["json-array", "missing-gas", "null-number"])
+def test_malformed_profile_is_one_error_line(tmp_path, capsys, payload, field):
+    profile_path, out = tmp_path / "profile.json", tmp_path / "out.csv"
+    profile_path.write_text(payload)
+    assert main(["generate", "--n", "100", "--profile", str(profile_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {field}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["run", "--discretizer", "aco"], ["compare"]])
 def test_too_small_synth_n_names_the_flag(tmp_path, capsys, command):
     out = tmp_path / "out"

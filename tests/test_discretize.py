@@ -90,6 +90,13 @@ def test_efb_rejects_degenerate_inputs():
         efb_cuts(single, 2)
 
 
+def test_efb_reads_num_cuts_as_an_integer():
+    table = make_table([np.arange(12.0)])
+    with pytest.raises(ValueError, match="num_cuts 2.5 is not an integer"):
+        efb_cuts(table, 2.5)
+    assert efb_cuts(table, 2.0) == efb_cuts(table, 2) == CutSet(((3.5, 7.5),))
+
+
 def test_apply_cuts_ordering_and_boundary():
     cuts = CutSet(((2.5, 4.5),))
     table = make_table([[3.0, 2.5, 2.4999, 4.5, 9.0, 0.1]])
@@ -124,6 +131,12 @@ def test_percentile_bounds():
     for p in (0, 100, -3):
         with pytest.raises(ValueError):
             percentile_to_cut(table, 0, p)
+    # unchecked, -1 reads the last attribute and n_attributes raises IndexError
+    for attribute in (-1, 1):
+        with pytest.raises(ValueError, match=f"attribute {attribute} is not in"):
+            percentile_to_cut(table, attribute, 50)
+    with pytest.raises(ValueError, match="attribute 0.5 is not an integer"):
+        percentile_to_cut(table, 0.5, 50)
 
 
 def test_percentile_grid_matches_pointwise():
@@ -148,6 +161,12 @@ def test_cutset_validation_and_bin_counts():
             CutSet(((0.0,), bad))
     with pytest.raises(ValueError, match="ascending"):
         cuts_from_json(json.loads('{"a": [NaN]}'), ("a",))
+    # a string is iterable: unchecked, "12" reads as the cuts (1.0, 2.0)
+    for bad in ("12", b"12"):
+        with pytest.raises(ValueError, match="sequence of numbers"):
+            CutSet(((0.0,), bad))
+    with pytest.raises(ValueError, match="attribute 0: cuts must be a sequence of numbers, not str"):
+        cuts_from_json({"a": "12"}, ("a",))
     cuts = CutSet(((1.0, 2.0), (5.0,), ()))
     assert cuts.n_attributes == 3
     assert cuts.bin_counts() == (3, 2, 1)

@@ -21,7 +21,6 @@ from roughcut import (
     DiscretizedTable,
     RuleSet,
     approximate,
-    classify,
     classify_table,
     induce_rules,
     membership,
@@ -160,6 +159,23 @@ def test_membership_direct_quotient():
     assert membership(part, table.decisions, 0, 1) == pytest.approx(2 / 3)
 
 
+def test_membership_and_approximate_check_their_arguments():
+    table = disc([[0], [0], [1]], [1, 0, 1])
+    part = partition(table, [0])
+    for decisions in ([1, 0], [0, 1, 0, 1, 1, 1]):
+        with pytest.raises(ValueError, match="label exactly the partitioned objects"):
+            approximate(part, decisions, 1)
+        with pytest.raises(ValueError, match="label exactly the partitioned objects"):
+            membership(part, decisions, 1, 1)
+    # unchecked, -1 reads the last object and 3 raises IndexError
+    for obj in (-1, 3):
+        with pytest.raises(ValueError, match=f"object {obj} is not in"):
+            membership(part, table.decisions, obj, 1)
+    with pytest.raises(ValueError, match="object 1.5 is not an integer"):
+        membership(part, table.decisions, 1.5, 1)
+    assert membership(part, table.decisions, 2, 1) == 1.0
+
+
 def test_membership_extremes_match_approximations():
     rng = np.random.default_rng(304)
     table = random_instance(rng)
@@ -264,14 +280,16 @@ def test_induce_rejects_degenerate_tables():
 def test_classify_certain_match():
     table = disc([[1, 1]] * 3 + [[0, 0]], [1, 1, 1, 0])
     rules = induce_rules(table)
-    assert classify(rules, (1, 1)) == (1, 1.0)
+    decisions, scores = classify_table(rules, disc([(1, 1)], [0]))
+    assert (decisions.tolist(), scores.tolist()) == ([1], [1.0])
 
 
 def test_classify_fallback_is_neutral():
     table = disc([[0], [0], [1]], [0, 0, 1])
     rules = induce_rules(table)
     assert rules.default_decision == 0
-    assert classify(rules, (2,)) == (0, 0.5)
+    decisions, scores = classify_table(rules, disc([(2,)], [0]))
+    assert (decisions.tolist(), scores.tolist()) == ([0], [0.5])
 
 
 def test_classify_noncertain_score_is_one_minus_confidence():
@@ -281,7 +299,7 @@ def test_classify_noncertain_score_is_one_minus_confidence():
     rule = rules.lookup((1,))
     assert rule.decision == 0
     assert rule.confidence == pytest.approx(0.75)
-    decision, score = classify(rules, (1,))
+    (decision,), (score,) = classify_table(rules, disc([(1,)], [0]))
     assert decision == 0
     assert score == pytest.approx(0.25)
 
@@ -290,27 +308,12 @@ def test_classify_validates_input_vector():
     table = disc([[0], [1]], [0, 1])
     rules = induce_rules(table)
     with pytest.raises(ValueError, match="expected"):
-        classify(rules, (0, 1))
+        classify_table(rules, disc([(0, 1)], [0]))
+    # the row length is checked first: a 2-bin row read against 1 count would index past it
+    with pytest.raises(ValueError, match=r"expected 1 bins per object, got shape \(1, 2\)"):
+        classify_table(rules, disc([(0, 5)], [0], n_bins=6))
     with pytest.raises(ValueError, match="out of range"):
-        classify(rules, (3,))
-
-
-def test_classify_table_matches_scalar_classify():
-    rng = np.random.default_rng(307)
-    train = random_instance(rng)
-    while train.decisions.sum() in (0, train.n_objects):
-        train = random_instance(rng)
-    rules = induce_rules(train)
-    other = DiscretizedTable(
-        rng.integers(0, 3, size=(40, train.n_attributes)),
-        rng.integers(0, 2, size=40),
-        train.attribute_bin_counts,
-    )
-    decisions, scores = classify_table(rules, other)
-    for i in range(other.n_objects):
-        d, s = classify(rules, tuple(other.bins[i].tolist()))
-        assert decisions[i] == d
-        assert scores[i] == pytest.approx(s)
+        classify_table(rules, disc([(3,)], [0], n_bins=4))
 
 
 def test_classify_table_rejects_out_of_range_bins():
@@ -330,7 +333,7 @@ def test_out_of_range_bins_do_not_alias_a_rule():
     with pytest.raises(ValueError, match="object 0: bin index out of range for attribute 1"):
         classify_table(rules, DiscretizedTable([[0, 5]], [0], (3, 6)))
     with pytest.raises(ValueError, match="out of range"):
-        classify(rules, (0, 5))
+        classify_table(rules, disc([(0, 5)], [0], n_bins=6))
 
 
 def test_ruleset_rejects_duplicate_conditions():
@@ -601,8 +604,6 @@ def test_classify_table_matches_dict_reference(case):
     assert decisions.dtype == np.int64 and scores.dtype == np.float64
     assert decisions.tolist() == expected_decisions
     assert scores.tolist() == expected_scores
-    for row, decision, score in zip(queries.tolist(), expected_decisions, expected_scores):
-        assert classify(rules, row) == (decision, score)
 
 
 def test_a_bin_count_too_large_to_key_is_an_error():
