@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,13 @@ class CutSet:
     def __post_init__(self):
         normalized = []
         for a, cuts in enumerate(self.cuts_per_attribute):
-            if isinstance(cuts, (str, bytes)):
+            if isinstance(cuts, (str, bytes)) or not isinstance(cuts, Iterable):
                 raise ValueError(f"attribute {a}: cuts must be a sequence of numbers, not {type(cuts).__name__}")
-            cuts = tuple(float(c) for c in cuts)
+            cuts = tuple(cuts)
+            for i, c in enumerate(cuts):
+                if not isinstance(c, numbers.Real):
+                    raise ValueError(f"attribute {a}: cuts must be a sequence of numbers; entry {i} is {c!r}")
+            cuts = tuple(map(float, cuts))
             if any(map(math.isnan, cuts)) or not all(a_ < b for a_, b in zip(cuts, cuts[1:])):
                 raise ValueError(f"attribute {a}: cuts must be strictly ascending")
             normalized.append(cuts)
@@ -45,9 +50,14 @@ class CutSet:
         return tuple(len(cuts) + 1 for cuts in self.cuts_per_attribute)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: an int, a bool, a numpy integer or a float with no fraction."""
+    return isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+
+
 def _integer(value, field_name: str) -> int:
     """``value`` as an int; anything but an integral number raises ValueError naming the field."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+    if _is_integer(value):
         return int(value)
     raise ValueError(f"{field_name} {value!r} is not an integer")
 
@@ -63,17 +73,26 @@ def _bin_counts(counts) -> tuple[int, ...]:
     return counts
 
 
-def _out_of_range(bins: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
-    """Mask of int64 bins outside [0, count): viewed as uint64, a negative bin is above every count."""
-    return bins.view(np.uint64) >= np.asarray(counts, dtype=np.uint64)
+def _bin_matrix(bins, counts: tuple[int, ...], row_name: str) -> np.ndarray:
+    """``bins`` as an int64 matrix, one row of ``len(counts)`` bins per ``row_name``.
 
-
-def _check_bins(bins: np.ndarray, counts: tuple[int, ...], row_name: str) -> None:
-    """Raise ValueError naming the first row and attribute with an int64 bin outside [0, count)."""
-    out = _out_of_range(bins, counts)
+    ValueError names the first bin that is not an integer in [0, count); bools and integral floats pass.
+    """
+    given = np.asarray(bins)
+    if given.ndim != 2 or given.shape[1] != len(counts):
+        raise ValueError(f"expected {len(counts)} bins per {row_name}, got shape {given.shape}")
+    if given.dtype.kind not in "biu":
+        fraction = ~np.frompyfunc(_is_integer, 1, 1)(given).astype(bool)
+        if fraction.any():
+            row, attr = np.argwhere(fraction)[0]
+            raise ValueError(f"{row_name} {row}: bin {given.item(row, attr)!r} for attribute {attr} is not an integer")
+        given = np.where((given >= 0) & (given < 2**63), given, -1)  # a bin past int64 reads as -1
+    matrix = given.astype(np.int64, copy=False)
+    out = matrix.view(np.uint64) >= np.asarray(counts, dtype=np.uint64)  # a negative bin reads as >= 2**63
     if out.any():
-        row, attr = (int(i) for i in np.argwhere(out)[0])
+        row, attr = np.argwhere(out)[0]
         raise ValueError(f"{row_name} {row}: bin index out of range for attribute {attr} ({counts[attr]} bins)")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -85,17 +104,15 @@ class DiscretizedTable:
     attribute_bin_counts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bins", _frozen(self.bins, np.int64))
+        counts = _bin_counts(self.attribute_bin_counts)
+        object.__setattr__(self, "attribute_bin_counts", counts)
+        object.__setattr__(self, "bins", _frozen(_bin_matrix(self.bins, counts, "object"), np.int64))
         labels = np.asarray(self.decisions)  # checked as given: the int64 cast truncates 0.5 to 0
         object.__setattr__(self, "decisions", _frozen(labels, np.int64))
-        object.__setattr__(self, "attribute_bin_counts", _bin_counts(self.attribute_bin_counts))
-        if self.bins.ndim != 2 or self.bins.shape[1] != len(self.attribute_bin_counts):
-            raise ValueError("bins must be (n_objects, n_attributes)")
         if self.decisions.shape != (self.bins.shape[0],):
             raise ValueError("decisions must have one entry per object")
         if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("decisions must be 0 or 1")
-        _check_bins(self.bins, self.attribute_bin_counts, "object")
 
     @property
     def n_objects(self) -> int:
@@ -168,6 +185,7 @@ def apply_cuts(table: DecisionTable, cuts: CutSet) -> DiscretizedTable:
 
 def percentile_to_cut(table: DecisionTable, attribute: int, p: int) -> float:
     """Nearest-rank p-th percentile of an attribute: the ceil(p*n/100)-th sorted value."""
+    p = _integer(p, "percentile")
     if not 1 <= p <= 99:
         raise ValueError("percentile must lie in [1, 99]")
     attribute = _integer(attribute, "attribute")

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import _frozen
-from .discretize import DiscretizedTable, _bin_counts, _check_bins, _integer, _out_of_range
+from .discretize import DiscretizedTable, _bin_counts, _bin_matrix, _integer
 
 KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
 
@@ -88,15 +88,13 @@ class RuleSet:
 
     def __post_init__(self):
         labels = np.asarray(self.decisions)  # checked as given: the int64 cast truncates 0.5 to 0
-        for name, dtype in (("conditions", np.int64), ("decisions", np.int64),
-                            ("supports", np.int64), ("confidences", np.float64)):
+        counts = _bin_counts(self.attribute_bin_counts)
+        object.__setattr__(self, "attribute_bin_counts", counts)
+        object.__setattr__(self, "conditions", _frozen(_bin_matrix(self.conditions, counts, "rule"), np.int64))
+        for name, dtype in (("decisions", np.int64), ("supports", np.int64), ("confidences", np.float64)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        object.__setattr__(self, "attribute_bin_counts", _bin_counts(self.attribute_bin_counts))
-        per_rule = (self.decisions.size,)
-        if self.conditions.shape != per_rule + (len(self.attribute_bin_counts),) or any(
-                a.shape != per_rule for a in (self.decisions, self.supports, self.confidences)):
+        if any(a.shape != self.conditions.shape[:1] for a in (self.decisions, self.supports, self.confidences)):
             raise ValueError("expected one condition row, decision, support and confidence per rule")
-        _check_bins(self.conditions, self.attribute_bin_counts, "rule")
         for name, values, allowed, ok in (
                 ("decision", labels, "in {0, 1}", (labels == 0) | (labels == 1)),
                 ("support", self.supports, ">= 1", self.supports >= 1),
@@ -133,20 +131,10 @@ class RuleSet:
                     int(self.supports[at]), confidence, confidence == 1.0)
 
     def match(self, bins: np.ndarray) -> np.ndarray:
-        """Position of the rule matching each row of a bin matrix, or -1.
-
-        A row with a bin outside [0, count) matches nothing. The mask is taken
-        from the bins because mixed-radix keys alias: with counts (3, 3) the
-        rows (0, 5) and (1, 2) both have key 5.
-        """
-        bins = np.asarray(bins, dtype=np.int64)
-        counts = self.attribute_bin_counts
-        if bins.ndim != 2 or bins.shape[1] != len(counts):
-            raise ValueError(f"expected {len(counts)} bins per object, got shape {bins.shape}")
-        keys, _ = _row_keys(zip(bins.T, counts), self._renumbered)
-        at = _find(self._keys, keys)
-        at[_out_of_range(bins, counts).any(axis=1)] = -1
-        return self._positions[at]
+        """Position of the rule matching each row of a bin matrix (checked by ``_bin_matrix``), or -1."""
+        bins = _bin_matrix(bins, self.attribute_bin_counts, "object")
+        keys, _ = _row_keys(zip(bins.T, self.attribute_bin_counts), self._renumbered)
+        return self._positions[_find(self._keys, keys)]
 
     def lookup(self, key: tuple[int, ...]) -> Rule | None:
         at = int(self.match([key])[0])
@@ -310,7 +298,6 @@ def classify_table(rules: RuleSet, table: DiscretizedTable) -> tuple[np.ndarray,
     neutral score of 0.5.
     """
     at = rules.match(table.bins)
-    _check_bins(table.bins, rules.attribute_bin_counts, "object")
     # Position -1, no matching rule, picks the fallback appended last.
     decisions = np.append(rules.decisions, rules.default_decision)
     scores = np.where(rules.decisions == 1, rules.confidences, 1.0 - rules.confidences)

@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,11 @@ def test_percentile_bounds():
             percentile_to_cut(table, attribute, 50)
     with pytest.raises(ValueError, match="attribute 0.5 is not an integer"):
         percentile_to_cut(table, 0.5, 50)
+    # unchecked, 1.5 raised numpy's IndexError and "50" a TypeError
+    for p in (1.5, "50"):
+        with pytest.raises(ValueError, match=f"^percentile {p!r} is not an integer$"):
+            percentile_to_cut(table, 0, p)
+    assert percentile_to_cut(table, 0, 50.0) == percentile_to_cut(table, 0, 50) == 1.0
 
 
 def test_percentile_grid_matches_pointwise():
@@ -167,6 +173,10 @@ def test_cutset_validation_and_bin_counts():
             CutSet(((0.0,), bad))
     with pytest.raises(ValueError, match="attribute 0: cuts must be a sequence of numbers, not str"):
         cuts_from_json({"a": "12"}, ("a",))
+    # unchecked, each of these raised TypeError
+    for payload in ('{"a": 5}', '{"a": [null]}', '{"a": [[1.0]]}'):
+        with pytest.raises(ValueError, match="^attribute 0: cuts must be a sequence of numbers"):
+            cuts_from_json(json.loads(payload), ("a",))
     cuts = CutSet(((1.0, 2.0), (5.0,), ()))
     assert cuts.n_attributes == 3
     assert cuts.bin_counts() == (3, 2, 1)
@@ -221,6 +231,26 @@ def test_discretized_table_names_the_first_out_of_range_bin():
         DiscretizedTable([[0], [3]], [0, 1], (3,))
     with pytest.raises(ValueError, match=r"^object 1: bin index out of range for attribute 1 \(2 bins\)$"):
         DiscretizedTable([[0, 1], [2, -1], [5, 0]], [0, 1, 0], (3, 2))
+
+
+def test_bin_matrices_are_read_as_integers_without_a_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bins in ([[1.0, 0.0]], [[True, False]], np.array([[1, 0]], dtype=object),
+                     np.array([[1, 0]], dtype=np.uint8)):
+            stored = DiscretizedTable(bins, [0], (2, 2)).bins
+            assert stored.dtype == np.int64 and stored.tolist() == [[1, 0]]
+        # the first bin that is not an integer is named, by row and then attribute
+        with pytest.raises(ValueError, match=r"^object 1: bin 0\.5 for attribute 0 is not an integer$"):
+            DiscretizedTable([[0, 1], [0.5, 1], [1, np.nan]], [0, 1, 0], (2, 2))
+        with pytest.raises(ValueError, match=r"^object 0: bin None for attribute 1 is not an integer$"):
+            DiscretizedTable([[0, None]], [0], (2, 2))
+        with pytest.raises(ValueError, match=r"^object 0: bin '1' for attribute 0 is not an integer$"):
+            DiscretizedTable([["1", "0"]], [0], (2, 2))
+        # integral, but beyond int64: out of range, not a wrapped or saturated cast
+        for bad in (1e30, -1e30, 2.0**63, 2**64, -2**64):
+            with pytest.raises(ValueError, match=r"^object 0: bin index out of range for attribute 1 \(2 bins\)$"):
+                DiscretizedTable([[0, bad]], [0], (2, 2))
 
 
 @pytest.mark.parametrize("counts, message", [

@@ -328,8 +328,13 @@ def test_out_of_range_bins_do_not_alias_a_rule():
     # with counts (3, 3) the mixed-radix keys of (0, 5), (2, -1) and (1, 2) are all 5
     rules = RuleSet([[1, 2]], [1], [4], [1.0], 0, (3, 3))
     assert rules.lookup((1, 2)).support == 4
-    assert rules.lookup((0, 5)) is None
-    assert rules.match([[0, 5], [1, 2], [2, -1]]).tolist() == [-1, 0, -1]
+    assert rules.match([[1, 2], [1, 0]]).tolist() == [0, -1]
+    with pytest.raises(ValueError, match=r"^object 0: bin index out of range for attribute 1 \(3 bins\)$"):
+        rules.lookup((0, 5))
+    with pytest.raises(ValueError, match=r"^object 0: bin index out of range for attribute 1 \(3 bins\)$"):
+        rules.match([[0, 5], [1, 2], [2, -1]])
+    with pytest.raises(ValueError, match=r"^object 1: bin index out of range for attribute 1 \(3 bins\)$"):
+        rules.match([[1, 2], [2, -1]])
     with pytest.raises(ValueError, match="object 0: bin index out of range for attribute 1"):
         classify_table(rules, DiscretizedTable([[0, 5]], [0], (3, 6)))
     with pytest.raises(ValueError, match="out of range"):
@@ -345,7 +350,7 @@ def test_ruleset_rejects_duplicate_conditions():
 def test_ruleset_rejects_mismatched_arrays():
     with pytest.raises(ValueError, match="one condition row"):
         RuleSet([[1], [2]], [1], [2, 1], [1.0, 1.0], 1, (3,))
-    with pytest.raises(ValueError, match="one condition row"):
+    with pytest.raises(ValueError, match=r"^expected 1 bins per rule, got shape \(1, 2\)$"):
         RuleSet([[1, 0]], [1], [2], [1.0], 1, (3,))
 
 
@@ -679,19 +684,9 @@ def test_rule_keys_and_match_match_the_searchsorted_reference(case, data):
     assert rules._keys.tolist() == expected_keys.tolist()
     assert rules._positions.tolist() == [*expected_positions.tolist(), -1]
 
-    # Rule rows, rows that are no rule, and rows with a bin just outside
-    # [0, count), repeated and in drawn order.
+    # Rule rows and rows that are no rule, repeated and in drawn order.
     absent = (distinct + 1) % np.asarray(counts)
-    outside = distinct.copy()
-    outside[:, -1] = counts[-1]
-    below = distinct.copy()
-    below[:, 0] = -1
-    # Rows holding the int64 extremes, whose keys wrap: they match no rule.
-    extreme = np.vstack([distinct, distinct])
-    extreme[:n, 0] = np.iinfo(np.int64).max
-    extreme[n:, -1] = np.iinfo(np.int64).min
-    assert (rules.match(extreme) == -1).all()
-    candidates = np.vstack([distinct, absent, outside, below, extreme, bins])
+    candidates = np.vstack([distinct, absent, bins])
     if data is None:
         queries = candidates[np.arange(2 * len(candidates)) % len(candidates)]
     else:
@@ -702,6 +697,17 @@ def test_rule_keys_and_match_match_the_searchsorted_reference(case, data):
     assert rules.match(queries).tolist() == expected.tolist()
     on_rule = [tuple(q) in set(map(tuple, distinct.tolist())) for q in queries.tolist()]
     assert (expected >= 0).tolist() == on_rule
+
+    # A row with a bin just outside [0, count), or holding an int64 extreme
+    # whose key would wrap, raises instead of matching, and is named.
+    last = len(counts) - 1
+    for attr, bad in ((last, counts[-1]), (0, -1), (0, np.iinfo(np.int64).max), (last, np.iinfo(np.int64).min)):
+        row = distinct[-1].copy()
+        row[attr] = bad
+        at = len(queries) // 2
+        message = rf"^object {at}: bin index out of range for attribute {attr} \({counts[attr]} bins\)$"
+        with pytest.raises(ValueError, match=message):
+            rules.match(np.insert(queries, at, row, axis=0))
 
     with pytest.raises(ValueError, match="duplicate rule conditions"):
         RuleSet(np.vstack([distinct, distinct[-1:]]), np.zeros(n + 1), np.ones(n + 1),
@@ -719,15 +725,22 @@ def raised(build):
 
 @st.composite
 def flawed_bin_matrices(draw):
-    """Distinct bin rows with their counts, and the flaw drawn into them: one bad bin, one bad count, or none."""
+    """Distinct bin rows with their counts, and the flaw drawn into them.
+
+    The flaw is one bin out of range, one bin that is not an integer (the
+    matrix is then float), one bad count, or none.
+    """
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     rows = draw(st.lists(st.tuples(*[st.integers(0, c - 1) for c in counts]), min_size=1, max_size=8, unique=True))
     bins = np.array(rows, dtype=np.int64).reshape(len(rows), len(counts))
-    flaw = draw(st.sampled_from(["none", "bin", "count"]))
+    flaw = draw(st.sampled_from(["none", "bin", "fraction", "count"]))
     attr = draw(st.integers(0, len(counts) - 1))
     if flaw == "bin":
         bad = st.sampled_from([-1, counts[attr], counts[attr] + 7, -2**63, 2**63 - 1])
         bins[draw(st.integers(0, len(rows) - 1)), attr] = draw(bad)
+    elif flaw == "fraction":
+        bins = bins.astype(np.float64)
+        bins[draw(st.integers(0, len(rows) - 1)), attr] = draw(st.sampled_from([0.5, 1.9, np.nan, np.inf]))
     elif flaw == "count":
         counts[attr] = draw(st.sampled_from([0, -1, 2**63, 2**64, 2.7, float("nan")]))
     return bins, tuple(counts), flaw
@@ -737,6 +750,7 @@ def flawed_bin_matrices(draw):
 @given(case=flawed_bin_matrices())
 @example(case=(np.zeros((3, 0), dtype=np.int64), (), "count"))
 @example(case=(np.array([[0, 1], [2, 0]]), (3, 2**64), "count"))
+@example(case=(np.array([[0.0, 1.0], [1.9, 0.0]]), (3, 2), "fraction"))
 def test_tables_and_rule_sets_reject_a_bin_matrix_alike(case):
     bins, counts, flaw = case
     n = len(bins)
@@ -746,3 +760,15 @@ def test_tables_and_rule_sets_reject_a_bin_matrix_alike(case):
     assert (rule_error is None) == (flaw == "none")
     if flaw != "none":
         assert table_error.replace("object", "rule") == rule_error
+    if flaw == "fraction":
+        assert table_error.endswith("is not an integer")
+    if flaw == "count":
+        return
+    # match and classify_table read their query bins by the same rule.
+    rules = RuleSet(np.zeros((1, len(counts))), [0], [1], [1.0], 0, counts)
+    assert raised(lambda: rules.match(bins)) == table_error
+    if flaw != "fraction" and 0 <= bins.min() and bins.max() < 2**62:
+        # a table with wider counts holds the bins, which the rules' counts reject
+        wide = tuple(max(c, int(b) + 1) for c, b in zip(counts, bins.max(axis=0)))
+        table = DiscretizedTable(bins, np.arange(n) % 2, wide)
+        assert raised(lambda: classify_table(rules, table)) == table_error
