@@ -39,6 +39,22 @@ def _frozen(value, dtype) -> np.ndarray:
     return array
 
 
+def _labels(labels, n: int, name: str, row_name: str) -> np.ndarray:
+    """A read-only int64 copy of ``labels``, one 0 or 1 per ``row_name``, ``n`` in all.
+
+    The entries are checked as given, so 0.5 is rejected, not truncated to 0;
+    ValueError names the first entry that is not 0 or 1 by row and value.
+    """
+    given = np.asarray(labels)
+    if given.shape != (n,):
+        raise ValueError(f"{name} must have one entry per {row_name}")
+    bad = ~((given == 0) | (given == 1))
+    if bad.any():
+        at = int(bad.argmax())
+        raise ValueError(f"{row_name} {at}: {name} entry {given.item(at)!r} is not 0 or 1")
+    return _frozen(given, np.int64)
+
+
 @dataclass(frozen=True)
 class DecisionTable:
     """Immutable table of objects x condition attributes plus a binary decision.
@@ -57,8 +73,6 @@ class DecisionTable:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values, np.float64))
-        labels = np.asarray(self.decisions)  # checked as given: the int64 cast truncates 0.5 to 0
-        object.__setattr__(self, "decisions", _frozen(labels, np.int64))
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D array of shape (n_objects, n_attributes)")
         if self.values.shape[0] == 0:
@@ -78,12 +92,9 @@ class DecisionTable:
             if stripped != name:
                 raise ValueError(f"attribute name {name!r} has surrounding whitespace")
             seen.add(name)
-        if self.decisions.shape != (self.values.shape[0],):
-            raise ValueError("decisions must have one entry per object")
+        object.__setattr__(self, "decisions", _labels(self.decisions, self.values.shape[0], "decisions", "object"))
         if not np.all(np.isfinite(self.values)):
             raise ValueError("condition values must be finite")
-        if not ((labels == 0) | (labels == 1)).all():
-            raise ValueError("decisions must be 0 or 1")
         object.__setattr__(self, "attribute_names", tuple(self.attribute_names))
 
     @property

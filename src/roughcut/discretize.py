@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DecisionTable, _frozen
+from .data import DecisionTable, _frozen, _labels
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,11 @@ class CutSet:
             for i, c in enumerate(cuts):
                 if not isinstance(c, numbers.Real):
                     raise ValueError(f"attribute {a}: cuts must be a sequence of numbers; entry {i} is {c!r}")
-            cuts = tuple(map(float, cuts))
+            try:
+                cuts = tuple(map(float, cuts))
+            except OverflowError:
+                raise ValueError(f"attribute {a}: cuts must be a sequence of numbers; "
+                                 "one is too large for a float") from None
             if any(map(math.isnan, cuts)) or not all(a_ < b for a_, b in zip(cuts, cuts[1:])):
                 raise ValueError(f"attribute {a}: cuts must be strictly ascending")
             normalized.append(cuts)
@@ -107,12 +111,7 @@ class DiscretizedTable:
         counts = _bin_counts(self.attribute_bin_counts)
         object.__setattr__(self, "attribute_bin_counts", counts)
         object.__setattr__(self, "bins", _frozen(_bin_matrix(self.bins, counts, "object"), np.int64))
-        labels = np.asarray(self.decisions)  # checked as given: the int64 cast truncates 0.5 to 0
-        object.__setattr__(self, "decisions", _frozen(labels, np.int64))
-        if self.decisions.shape != (self.bins.shape[0],):
-            raise ValueError("decisions must have one entry per object")
-        if not ((labels == 0) | (labels == 1)).all():
-            raise ValueError("decisions must be 0 or 1")
+        object.__setattr__(self, "decisions", _labels(self.decisions, self.bins.shape[0], "decisions", "object"))
 
     @property
     def n_objects(self) -> int:
@@ -148,6 +147,7 @@ def efb_cuts(table: DecisionTable, num_cuts: int) -> CutSet:
     n = table.n_objects
     if n < 2:
         raise ValueError("EFB needs at least 2 objects")
+    num_cuts = min(num_cuts, n - 1)  # n - 1 boundaries are 1..n-1, every gap; more only repeat them
     # round half to even, as Python's round
     bounds = np.clip(np.round(n * np.arange(1, num_cuts + 1) / (num_cuts + 1)), 1, n - 1).astype(np.int64)
     per_attribute = []

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DecisionTable
+from .data import DecisionTable, _labels
 from .discretize import CutSet, apply_cuts
 from .roughset import RuleSet, classify_table, induce_rules
 
@@ -71,15 +71,10 @@ class EvaluationReport:
 
 def confusion(predictions: Sequence[int], actuals: Sequence[int]) -> ConfusionMatrix:
     """Tally tp/tn/fp/fn with class 1 (faulty) as positive."""
-    predictions = np.asarray(predictions)
-    actuals = np.asarray(actuals)
-    if predictions.shape != actuals.shape or predictions.ndim != 1:
-        raise ValueError("predictions and actuals must be 1-D and the same length")
+    predictions = _labels(predictions, np.size(predictions), "predictions", "object")
+    actuals = _labels(actuals, predictions.size, "actuals", "object")
     if predictions.size == 0:
         raise ValueError("nothing to tally")
-    for name, arr in (("predictions", predictions), ("actuals", actuals)):
-        if not ((arr == 0) | (arr == 1)).all():
-            raise ValueError(f"{name} must be binary")
     return ConfusionMatrix(
         tp=int(((predictions == 1) & (actuals == 1)).sum()),
         tn=int(((predictions == 0) & (actuals == 0)).sum()),
@@ -98,9 +93,11 @@ def accuracy(m: ConfusionMatrix) -> float:
 def roc(scores: Sequence[float], actuals: Sequence[int]) -> RocCurve:
     """Threshold sweep over distinct scores, descending; tied scores form one step."""
     scores = np.asarray(scores, dtype=np.float64)
-    actuals = np.asarray(actuals)
-    if scores.shape != actuals.shape or scores.ndim != 1:
-        raise ValueError("scores and actuals must be 1-D and the same length")
+    if scores.ndim != 1:
+        raise ValueError("scores must be 1-D")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")  # argsort puts NaN last, as if lowest
+    actuals = _labels(actuals, scores.size, "actuals", "object")
     n_pos = int((actuals == 1).sum())
     n_neg = int((actuals == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import _frozen
+from .data import _frozen, _labels
 from .discretize import DiscretizedTable, _bin_counts, _bin_matrix, _integer
 
 KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
@@ -87,16 +87,15 @@ class RuleSet:
     _renumbered: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.decisions)  # checked as given: the int64 cast truncates 0.5 to 0
         counts = _bin_counts(self.attribute_bin_counts)
         object.__setattr__(self, "attribute_bin_counts", counts)
         object.__setattr__(self, "conditions", _frozen(_bin_matrix(self.conditions, counts, "rule"), np.int64))
-        for name, dtype in (("decisions", np.int64), ("supports", np.int64), ("confidences", np.float64)):
+        object.__setattr__(self, "decisions", _labels(self.decisions, self.conditions.shape[0], "decisions", "rule"))
+        for name, dtype in (("supports", np.int64), ("confidences", np.float64)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        if any(a.shape != self.conditions.shape[:1] for a in (self.decisions, self.supports, self.confidences)):
-            raise ValueError("expected one condition row, decision, support and confidence per rule")
+        if any(a.shape != self.conditions.shape[:1] for a in (self.supports, self.confidences)):
+            raise ValueError("expected one condition row, support and confidence per rule")
         for name, values, allowed, ok in (
-                ("decision", labels, "in {0, 1}", (labels == 0) | (labels == 1)),
                 ("support", self.supports, ">= 1", self.supports >= 1),
                 ("confidence", self.confidences, "in [0, 1]",
                  (self.confidences >= 0) & (self.confidences <= 1))):
@@ -232,9 +231,7 @@ def approximate(part: Partition, decisions: Sequence[int], target: int) -> Appro
     Lower: union of classes entirely inside X. Upper: union of classes
     intersecting X. Boundary: upper minus lower.
     """
-    decisions = np.asarray(decisions)
-    if decisions.shape[0] != part.n_objects:
-        raise ValueError("decisions must label exactly the partitioned objects")
+    decisions = _labels(decisions, part.n_objects, "decisions", "object")
     lower: set[int] = set()
     upper: set[int] = set()
     for members in part.classes:
@@ -249,9 +246,7 @@ def approximate(part: Partition, decisions: Sequence[int], target: int) -> Appro
 
 def membership(part: Partition, decisions: Sequence[int], obj: int, target: int) -> float:
     """Rough membership: fraction of the object's class carrying the target label."""
-    decisions = np.asarray(decisions)
-    if decisions.shape[0] != part.n_objects:
-        raise ValueError("decisions must label exactly the partitioned objects")
+    decisions = _labels(decisions, part.n_objects, "decisions", "object")
     obj = _integer(obj, "object")
     if not 0 <= obj < part.n_objects:
         raise ValueError(f"object {obj} is not in [0, {part.n_objects})")

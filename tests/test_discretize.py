@@ -17,12 +17,16 @@ from roughcut import (
     DiscretizedTable,
     RuleSet,
     apply_cuts,
+    approximate,
     confusion,
     cuts_from_json,
     cuts_to_json,
     efb_cuts,
+    membership,
+    partition,
     percentile_to_cut,
     percentile_value_grid,
+    roc,
 )
 
 
@@ -96,6 +100,10 @@ def test_efb_reads_num_cuts_as_an_integer():
     with pytest.raises(ValueError, match="num_cuts 2.5 is not an integer"):
         efb_cuts(table, 2.5)
     assert efb_cuts(table, 2.0) == efb_cuts(table, 2) == CutSet(((3.5, 7.5),))
+    # num_cuts past n - 1 is clamped to it; unclamped, 10**30 boundaries cannot be allocated
+    every_gap = CutSet((tuple(np.arange(11) + 0.5),))
+    for num_cuts in (11, 12, 36, 10**30, np.int64(2**62)):
+        assert efb_cuts(table, num_cuts) == every_gap
 
 
 def test_apply_cuts_ordering_and_boundary():
@@ -174,7 +182,7 @@ def test_cutset_validation_and_bin_counts():
     with pytest.raises(ValueError, match="attribute 0: cuts must be a sequence of numbers, not str"):
         cuts_from_json({"a": "12"}, ("a",))
     # unchecked, each of these raised TypeError
-    for payload in ('{"a": 5}', '{"a": [null]}', '{"a": [[1.0]]}'):
+    for payload in ('{"a": 5}', '{"a": [null]}', '{"a": [[1.0]]}', '{"a": [1' + '0' * 400 + ']}'):
         with pytest.raises(ValueError, match="^attribute 0: cuts must be a sequence of numbers"):
             cuts_from_json(json.loads(payload), ("a",))
     cuts = CutSet(((1.0, 2.0), (5.0,), ()))
@@ -201,29 +209,56 @@ def test_discretized_table_validation():
 
 def test_discretized_table_rejects_decisions_outside_zero_and_one():
     for decisions in ([0, 2], [0, -1]):
-        with pytest.raises(ValueError, match="decisions must be 0 or 1"):
+        with pytest.raises(ValueError, match=f"^object 1: decisions entry {decisions[1]} is not 0 or 1$"):
             DiscretizedTable([[0], [1]], decisions, (2,))
 
 
 def test_every_label_check_rejects_and_accepts_the_same_labels():
-    # DecisionTable, DiscretizedTable, RuleSet and confusion each check labels;
-    # they check them as given, so 0.5 is not truncated to 0 first.
-    for label in (2, -1, 0.5):
-        labels = np.array([0, label])
-        with pytest.raises(ValueError, match="^decisions must be 0 or 1$"):
-            DecisionTable(("a",), np.zeros((2, 1)), labels)
-        with pytest.raises(ValueError, match="^decisions must be 0 or 1$"):
-            DiscretizedTable([[0], [0]], labels, (1,))
-        with pytest.raises(ValueError, match=re.escape(f"rule 1: decision {label} is not in {{0, 1}}")):
+    # Every reader of a 0/1 vector checks it through data._labels, as given,
+    # so 0.5 is not truncated to 0 first, and with one message format.
+    part = partition(DiscretizedTable([[0], [0]], [0, 1], (1,)), [0])
+    readers = {
+        "decisions": [
+            lambda labels: DecisionTable(("a",), np.zeros((2, 1)), labels),
+            lambda labels: DiscretizedTable([[0], [0]], labels, (1,)),
+            lambda labels: approximate(part, labels, 1),
+            lambda labels: membership(part, labels, 0, 1),
+        ],
+        "actuals": [
+            lambda labels: confusion(np.array([0, 1]), labels),
+            lambda labels: roc([0.9, 0.1], labels),
+        ],
+        "predictions": [lambda labels: confusion(labels, np.array([0, 1]))],
+    }
+    for labels in (np.array([0, 2]), np.array([0, -1]), np.array([0, 0.5]), np.array([0, np.nan]),
+                   np.array([0, "1"], dtype=object), np.array([0, None], dtype=object)):
+        label = labels.item(1)
+        for name, builds in readers.items():
+            for build in builds:
+                with pytest.raises(ValueError, match=re.escape(f"object 1: {name} entry {label!r} is not 0 or 1")):
+                    build(labels)
+        with pytest.raises(ValueError, match=re.escape(f"rule 1: decisions entry {label!r} is not 0 or 1")):
             RuleSet([[0], [1]], labels, [1, 1], [1.0, 1.0], 0, (2,))
-        with pytest.raises(ValueError, match="^actuals must be binary$"):
-            confusion(np.array([0, 1]), labels)
-    for dtype in (np.int64, np.float64, bool):
+    for labels in ([0], [0, 1, 1], [[0, 1]]):
+        for name in ("decisions", "actuals"):
+            for build in readers[name]:
+                with pytest.raises(ValueError, match=f"^{name} must have one entry per object$"):
+                    build(labels)
+        with pytest.raises(ValueError, match="^decisions must have one entry per rule$"):
+            RuleSet([[0], [1]], labels, [1, 1], [1.0, 1.0], 0, (2,))
+    # confusion counts the objects by its predictions, so only their shape is theirs to get wrong
+    for predictions, name in (([[0, 1]], "predictions"), (0, "predictions"), ([0], "actuals")):
+        with pytest.raises(ValueError, match=f"^{name} must have one entry per object$"):
+            confusion(predictions, [0, 1])
+    for dtype in (np.int64, np.float64, bool, object):
         labels = np.array([0, 1], dtype=dtype)
         assert DecisionTable(("a",), np.zeros((2, 1)), labels).decisions.tolist() == [0, 1]
         assert DiscretizedTable([[0], [0]], labels, (1,)).decisions.tolist() == [0, 1]
         assert RuleSet([[0], [1]], labels, [1, 1], [1.0, 1.0], 0, (2,)).decisions.tolist() == [0, 1]
         assert confusion(labels, labels) == confusion([0, 1], [0, 1])
+        assert roc([0.9, 0.1], labels) == roc([0.9, 0.1], [0, 1])
+        assert approximate(part, labels, 1) == approximate(part, [0, 1], 1)
+        assert membership(part, labels, 1, 1) == 0.5
 
 
 def test_discretized_table_names_the_first_out_of_range_bin():

@@ -186,6 +186,15 @@ def test_roc_validation():
         roc([0.1, 0.2], [1, 1])
     with pytest.raises(ValueError):
         roc([0.1], [1, 0])
+    with pytest.raises(ValueError, match="^scores must be 1-D$"):
+        roc([[0.9, 0.1]], [1, 0])
+    # unchecked, the object labelled 2 was dropped and the AUC read 1.0
+    with pytest.raises(ValueError, match="^object 2: actuals entry 2 is not 0 or 1$"):
+        roc([0.9, 0.1, 0.5], [1, 0, 2])
+    # unchecked, a NaN score sorted last, as if lowest, and the AUC read 1.0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^scores must be finite$"):
+            roc([0.9, bad, 0.5, 0.2], [1, 0, 1, 0])
 
 
 def test_roccurve_shape_validation():

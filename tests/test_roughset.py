@@ -163,9 +163,9 @@ def test_membership_and_approximate_check_their_arguments():
     table = disc([[0], [0], [1]], [1, 0, 1])
     part = partition(table, [0])
     for decisions in ([1, 0], [0, 1, 0, 1, 1, 1]):
-        with pytest.raises(ValueError, match="label exactly the partitioned objects"):
+        with pytest.raises(ValueError, match="^decisions must have one entry per object$"):
             approximate(part, decisions, 1)
-        with pytest.raises(ValueError, match="label exactly the partitioned objects"):
+        with pytest.raises(ValueError, match="^decisions must have one entry per object$"):
             membership(part, decisions, 1, 1)
     # unchecked, -1 reads the last object and 3 raises IndexError
     for obj in (-1, 3):
@@ -348,8 +348,10 @@ def test_ruleset_rejects_duplicate_conditions():
 
 
 def test_ruleset_rejects_mismatched_arrays():
-    with pytest.raises(ValueError, match="one condition row"):
+    with pytest.raises(ValueError, match="^decisions must have one entry per rule$"):
         RuleSet([[1], [2]], [1], [2, 1], [1.0, 1.0], 1, (3,))
+    with pytest.raises(ValueError, match="^expected one condition row, support and confidence per rule$"):
+        RuleSet([[1], [2]], [1, 0], [2], [1.0, 1.0], 1, (3,))
     with pytest.raises(ValueError, match=r"^expected 1 bins per rule, got shape \(1, 2\)$"):
         RuleSet([[1, 0]], [1], [2], [1.0], 1, (3,))
 
@@ -360,7 +362,7 @@ def test_ruleset_rejects_out_of_range_fields():
 
     assert rules().n_certain == 1
     cases = [
-        ({"decisions": (1, 2)}, "rule 1: decision 2"),
+        ({"decisions": (1, 2)}, "rule 1: decisions entry 2 is not 0 or 1"),
         ({"supports": (0, 1)}, "rule 0: support 0"),
         ({"confidences": (1.0, float("nan"))}, "rule 1: confidence nan"),
         ({"confidences": (1.01, 0.5)}, "rule 0: confidence 1.01"),
@@ -397,8 +399,8 @@ def test_ruleset_from_json_rejects_malformed_rules():
         ({"conditions": {"0": 2, "1": -1}}, "rule 1: bin index out of range for attribute 1"),
         ({"certain": False}, "rule 1: certain"),
         ({"confidence": 0.5}, "rule 1: certain"),
-        ({"decision": 2}, r"rule 1: decision 2 is not in \{0, 1\}"),
-        ({"decision": -1}, r"rule 1: decision -1 is not in \{0, 1\}"),
+        ({"decision": 2}, "rule 1: decisions entry 2 is not 0 or 1"),
+        ({"decision": -1}, "rule 1: decisions entry -1 is not 0 or 1"),
         ({"support": -3}, "rule 1: support -3 is not >= 1"),
         ({"support": 0}, "rule 1: support 0 is not >= 1"),
         ({"confidence": 1.5, "certain": False}, r"rule 1: confidence 1.5 is not in \[0, 1\]"),
@@ -431,7 +433,7 @@ def test_ruleset_from_json_rejects_malformed_rules():
     # integral floats are the integers they spell
     assert ruleset_from_json(payload(decision=0.0, support=3.0)).lookup((2, 0)).support == 3
     # all three at once: the first bad rule field is reported
-    with pytest.raises(ValueError, match="rule 1: decision 2"):
+    with pytest.raises(ValueError, match="rule 1: decisions entry 2 is not 0 or 1"):
         ruleset_from_json({**payload(decision=2, support=-3), "default_decision": 7})
 
 
