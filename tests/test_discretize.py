@@ -366,13 +366,35 @@ def ragged_cut_tables(draw):
 def test_apply_cuts_matches_searchsorted_per_attribute(case):
     table, cuts = case
     binned = apply_cuts(table, cuts)
-    expected = np.column_stack([
+    assert binned.bins.dtype == np.int64
+    assert binned.bins.tolist() == searchsorted_bins(table, cuts).tolist()
+    assert binned.attribute_bin_counts == cuts.bin_counts()
+
+
+def searchsorted_bins(table, cuts):
+    """The bins as one binary search per attribute: the number of its cuts <= each value."""
+    return np.column_stack([
         np.searchsorted(np.asarray(attr_cuts, dtype=np.float64), table.values[:, a], side="right")
         for a, attr_cuts in enumerate(cuts.cuts_per_attribute)
     ])
+
+
+def test_apply_cuts_bins_past_255_cuts_like_searchsorted():
+    # 255 cuts make bins 0..255, 256 cuts make bins 0..256: the last bin one
+    # byte holds, and the first it does not, beside a 0-cut and a 1-cut attribute
+    rng = np.random.default_rng(214)
+    cuts = CutSet((tuple(np.arange(255.0)), (), tuple(np.linspace(-1.0, 1.0, 256)), (0.5,)))
+    columns = []
+    for attr_cuts in cuts.cuts_per_attribute:
+        below = np.nextafter(np.asarray(attr_cuts, dtype=np.float64), -np.inf)
+        pool = np.concatenate([attr_cuts, below, EDGE_VALUES])
+        columns.append(rng.permutation(np.resize(pool, 2 * 256 + len(EDGE_VALUES))))
+    table = make_table(columns)
+    binned = apply_cuts(table, cuts)
     assert binned.bins.dtype == np.int64
-    assert binned.bins.tolist() == expected.tolist()
-    assert binned.attribute_bin_counts == cuts.bin_counts()
+    assert binned.bins.tolist() == searchsorted_bins(table, cuts).tolist()
+    assert binned.bins.max(axis=0).tolist() == [255, 0, 256, 1]
+    assert binned.attribute_bin_counts == (256, 1, 257, 2)
 
 
 def efb_oracle(table, num_cuts):
