@@ -140,7 +140,9 @@ def _construct(weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
     ``draws``.
     """
     n_ants, n_attributes, k = draws.shape
-    rows = np.tile(weights, (n_ants, 1))  # row i: attribute i % n_attributes
+    # row i: attribute i % n_attributes, row-major (tau is stored column-major), so
+    # each row's feasible run is contiguous and sums as choice's w.sum() does
+    rows = np.tile(np.ascontiguousarray(weights), (n_ants, 1))
     positions = np.arange(1, N_POSITIONS + 1)
     picks = np.empty(draws.shape, dtype=np.int64).reshape(-1, k)
     prev = np.zeros(len(picks), dtype=np.int64)

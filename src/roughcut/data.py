@@ -33,8 +33,12 @@ CLIP_PERCENTILES = (0.5, 99.5)
 
 
 def _frozen(value, dtype) -> np.ndarray:
-    """A read-only copy of ``value`` as an array of ``dtype``; the caller's array stays writable."""
-    array = np.array(value, dtype=dtype)
+    """A read-only copy of ``value`` as an array of ``dtype``; the caller's array stays writable.
+
+    A table is stored column-major (Fortran order), so each attribute's
+    values, or bins, are one contiguous run.
+    """
+    array = np.array(value, dtype=dtype, order="F")
     array.setflags(write=False)
     return array
 
@@ -236,8 +240,9 @@ def split(table: DecisionTable, spec: SplitSpec) -> tuple[DecisionTable, Decisio
         train_dec = table.decisions[train_idx]
         test_dec = table.decisions[test_idx]
         if 0 < train_dec.sum() < len(train_idx) and 0 < test_dec.sum() < len(test_idx):
-            train = DecisionTable(table.attribute_names, table.values[train_idx], train_dec)
-            test = DecisionTable(table.attribute_names, table.values[test_idx], test_dec)
+            # one take along each contiguous column gives the column-major rows DecisionTable stores
+            train = DecisionTable(table.attribute_names, table.values.T.take(train_idx, axis=1).T, train_dec)
+            test = DecisionTable(table.attribute_names, table.values.T.take(test_idx, axis=1).T, test_dec)
             return train, test
     raise ValueError(f"could not produce a two-class split in {MAX_SPLIT_RETRIES} attempts")
 

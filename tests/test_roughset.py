@@ -9,6 +9,7 @@ formulations of the row grouping (``np.unique``'s stable sort) and of the key
 lookup (a binary search per unsorted query) as references for the sorted ones.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -774,3 +775,77 @@ def test_tables_and_rule_sets_reject_a_bin_matrix_alike(case):
         wide = tuple(max(c, int(b) + 1) for c, b in zip(counts, bins.max(axis=0)))
         table = DiscretizedTable(bins, np.arange(n) % 2, wide)
         assert raised(lambda: classify_table(rules, table)) == table_error
+
+
+BIN_DTYPES = (np.uint8, np.uint16, np.int64, np.bool_, np.float64)
+
+
+def laid_out(bins, dtype, layout):
+    """The int64 matrix ``bins`` cast to ``dtype``: C-ordered, F-ordered or a strided
+    slice of a larger array. None when ``dtype`` cannot hold every bin."""
+    cast = bins.astype(dtype)
+    if not np.array_equal(cast.astype(np.int64), bins):
+        return None
+    if layout == "F":
+        return np.asfortranarray(cast)
+    if layout == "slice":
+        spread = np.zeros((2 * len(bins) + 1, 3 * bins.shape[1]), dtype=dtype)
+        spread[1::2, ::3] = cast
+        return spread[1::2, ::3]
+    return np.ascontiguousarray(cast)
+
+
+def bin_paths(bins, decisions, counts, rules):
+    """What each checked path makes of a bin matrix: its arrays, with dtype and shape, or its ValueError."""
+    def arrays(*results):
+        return [(a.dtype.str, a.shape, a.tolist()) for a in results]
+
+    def rule_set():
+        return RuleSet(bins, decisions, np.ones(len(bins)), np.ones(len(bins)), 0, counts)
+
+    got = {"match": raised(lambda: rules.match(bins)) or arrays(rules.match(bins)),
+           "rule set": raised(rule_set) or arrays(rule_set().conditions, rule_set().match(bins))}
+    table_error = raised(lambda: DiscretizedTable(bins, decisions, counts))
+    if table_error:
+        return {**got, "table": table_error}
+    table = DiscretizedTable(bins, decisions, counts)
+    induced = raised(lambda: induce_rules(table)) or arrays(*(
+        getattr(induce_rules(table), name) for name in ("conditions", "decisions", "supports", "confidences")))
+    return {**got, "table": arrays(table.bins, table.decisions), "induced": induced,
+            "classified": arrays(*classify_table(rules, table)),
+            "stored": (table.bins.flags.f_contiguous, table.bins.flags.writeable)}
+
+
+@st.composite
+def bin_matrices_in_range_or_not(draw):
+    """A bin matrix of 0-12 rows, its counts and decisions, and a rule set over the same counts.
+
+    Bins are mostly in range, some at -1, at the count or past 255; counts
+    straddle what bool, uint8 and uint16 can hold.
+    """
+    counts = tuple(draw(st.lists(st.sampled_from([1, 2, 3, 256, 257, 70000]), min_size=1, max_size=4)))
+    bin_of = [st.integers(0, c - 1) | st.sampled_from([-1, c, 255, 256]) for c in counts]
+    rows = draw(st.lists(st.tuples(*bin_of), max_size=12))
+    bins = np.array(rows, dtype=np.int64).reshape(len(rows), len(counts))
+    decisions = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=len(rows), max_size=len(rows))),
+                         dtype=np.int64)
+    # rules from the bins clipped into range, with a row of each class so both occur
+    clipped = np.clip(np.vstack([bins, np.zeros((2, len(counts)), dtype=np.int64)]), 0, np.array(counts) - 1)
+    rules = induce_rules(DiscretizedTable(clipped, [*decisions, 0, 1], counts))
+    return bins, decisions, counts, rules
+
+
+@PROPERTY_SETTINGS
+@given(case=bin_matrices_in_range_or_not())
+@example(case=(np.array([[255, 256], [0, 1]]), np.array([0, 1]), (256, 257),
+               induce_rules(DiscretizedTable([[255, 256], [0, 1]], [0, 1], (256, 257)))))
+def test_bin_paths_are_the_same_for_every_layout_and_dtype(case):
+    bins, decisions, counts, rules = case
+    expected = bin_paths(bins, decisions, counts, rules)
+    if "stored" in expected:
+        assert expected["stored"] == (True, False)  # int64, column-major, read-only
+    for dtype, layout in itertools.product(BIN_DTYPES, ("C", "F", "slice")):
+        variant = laid_out(bins, dtype, layout)
+        if variant is not None:
+            assert variant.dtype == dtype
+            assert bin_paths(variant, decisions, counts, rules) == expected, (dtype, layout)
