@@ -232,6 +232,8 @@ def approximate(part: Partition, decisions: Sequence[int], target: int) -> Appro
     intersecting X. Boundary: upper minus lower.
     """
     decisions = _labels(decisions, part.n_objects, "decisions", "object")
+    if target not in (0, 1):
+        raise ValueError(f"target must be 0 or 1, got {target!r}")
     lower: set[int] = set()
     upper: set[int] = set()
     for members in part.classes:
@@ -247,6 +249,8 @@ def approximate(part: Partition, decisions: Sequence[int], target: int) -> Appro
 def membership(part: Partition, decisions: Sequence[int], obj: int, target: int) -> float:
     """Rough membership: fraction of the object's class carrying the target label."""
     decisions = _labels(decisions, part.n_objects, "decisions", "object")
+    if target not in (0, 1):
+        raise ValueError(f"target must be 0 or 1, got {target!r}")
     obj = _integer(obj, "object")
     if not 0 <= obj < part.n_objects:
         raise ValueError(f"object {obj} is not in [0, {part.n_objects})")

@@ -177,6 +177,22 @@ def test_membership_and_approximate_check_their_arguments():
     assert membership(part, table.decisions, 2, 1) == 1.0
 
 
+@pytest.mark.parametrize("target", [2, -1, 7, 0.5])
+def test_membership_and_approximate_reject_a_target_outside_zero_and_one(target):
+    # unchecked, no object carries such a label: three empty sets and membership 0.0
+    table = disc([[0], [0], [1]], [1, 0, 1])
+    part = partition(table, [0])
+    message = f"^target must be 0 or 1, got {target!r}$"
+    with pytest.raises(ValueError, match=message):
+        approximate(part, table.decisions, target)
+    with pytest.raises(ValueError, match=message):
+        membership(part, table.decisions, 0, target)
+    # the two classes, and the same values given as other numbers
+    for good in (0, 1, True, 1.0, np.int64(0)):
+        assert approximate(part, table.decisions, good) == approximate(part, table.decisions, int(good))
+        assert membership(part, table.decisions, 0, good) == membership(part, table.decisions, 0, int(good))
+
+
 def test_membership_extremes_match_approximations():
     rng = np.random.default_rng(304)
     table = random_instance(rng)
