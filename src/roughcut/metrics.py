@@ -111,12 +111,9 @@ def roc(scores: Sequence[float], actuals: Sequence[int]) -> RocCurve:
     # index of the last element in each tied-score group
     step_ends = np.append(np.nonzero(np.diff(sorted_scores))[0], len(sorted_scores) - 1)
 
-    points = [(0.0, 0.0)]
-    thresholds = [math.inf]
-    for i in step_ends:
-        points.append((float(cum_fp[i] / n_neg), float(cum_tp[i] / n_pos)))
-        thresholds.append(float(sorted_scores[i]))
-    return RocCurve(tuple(points), tuple(thresholds))
+    rates = np.stack([cum_fp[step_ends] / n_neg, cum_tp[step_ends] / n_pos], axis=1)
+    points = ((0.0, 0.0), *map(tuple, rates.tolist()))
+    return RocCurve(points, (math.inf, *sorted_scores[step_ends].tolist()))
 
 
 def auc(curve: RocCurve) -> float:

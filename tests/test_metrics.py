@@ -155,6 +155,37 @@ def test_roc_matches_threshold_sweep():
                 assert got == pytest.approx(want)
 
 
+def loop_roc(scores, actuals):
+    """``roc``'s points and thresholds built one distinct score at a time, as a Python loop."""
+    scores = np.asarray(scores, dtype=np.float64)
+    actuals = np.asarray(actuals, dtype=np.int64)
+    n_pos, n_neg = int((actuals == 1).sum()), int((actuals == 0).sum())
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores, sorted_actuals = scores[order], actuals[order]
+    cum_tp, cum_fp = np.cumsum(sorted_actuals == 1), np.cumsum(sorted_actuals == 0)
+    step_ends = np.append(np.nonzero(np.diff(sorted_scores))[0], len(sorted_scores) - 1)
+    points, thresholds = [(0.0, 0.0)], [math.inf]
+    for i in step_ends:
+        points.append((float(cum_fp[i] / n_neg), float(cum_tp[i] / n_pos)))
+        thresholds.append(float(sorted_scores[i]))
+    return tuple(points), tuple(thresholds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(2, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-1e300, 1e300) | st.sampled_from((0.0, -0.0, 0.5, 5e-324, 1.0)), min_size=n, max_size=n),
+    st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n).filter(lambda a: 0 < sum(a) < len(a)))))
+def test_roc_matches_the_per_score_loop_bit_for_bit(case):
+    scores, actuals = case
+    curve = roc(scores, actuals)
+    points, thresholds = loop_roc(scores, actuals)
+    # the same floats bit for bit: a repr differs wherever two floats do, -0.0 included
+    assert repr(curve.points) == repr(points)
+    assert repr(curve.thresholds) == repr(thresholds)
+    assert all(type(x) is float for point in curve.points for x in point)
+    assert all(type(t) is float for t in curve.thresholds)
+
+
 def test_auc_matches_pair_count():
     rng = np.random.default_rng(403)
     for tie_prone in (False, True):
