@@ -793,7 +793,7 @@ def test_tables_and_rule_sets_reject_a_bin_matrix_alike(case):
         assert raised(lambda: classify_table(rules, table)) == table_error
 
 
-BIN_DTYPES = (np.uint8, np.uint16, np.int64, np.bool_, np.float64)
+BIN_DTYPES = (np.uint8, np.uint16, np.uint64, np.int8, np.int64, np.bool_, np.float64)
 
 
 def laid_out(bins, dtype, layout):
