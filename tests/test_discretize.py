@@ -1,6 +1,7 @@
 """Equal frequency binning, bin application, and the percentile grid."""
 
 import json
+import math
 import re
 import sys
 import warnings
@@ -444,3 +445,44 @@ def test_efb_cuts_match_the_per_boundary_loop(case):
     expected = efb_oracle(table, num_cuts)
     # float.hex tells -0.0 from 0.0, which == does not
     assert [[c.hex() for c in attr] for attr in cuts] == [[c.hex() for c in attr] for attr in expected]
+
+
+def nearest_rank_grid(table):
+    """percentile_value_grid one attribute and one percentile at a time: the
+    math.ceil(p * n / 100)-th value of the sorted column (the first when
+    that is 0), for p = 1..99."""
+    n = table.n_objects
+    grid = []
+    for column in table.values.T:
+        col = np.sort(column).tolist()
+        grid.append([col[max(math.ceil(p * n / 100), 1) - 1] for p in range(1, 100)])
+    return grid
+
+
+@st.composite
+def grid_tables(draw):
+    """A table of 1-300 objects and 1-3 attributes.
+
+    A column is constant, drawn from tied values (signed zeros among them),
+    or finite floats mixed with the edge values.
+    """
+    n = draw(st.integers(1, 300))
+    column = st.one_of(
+        FINITE.map(lambda v: [v] * n),
+        st.lists(st.sampled_from((-1.0, -0.0, 0.0, 1.0)), min_size=n, max_size=n),
+        st.lists(FINITE, min_size=n, max_size=n),
+    )
+    return make_table(draw(st.lists(column, min_size=1, max_size=3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=grid_tables())
+@example(table=make_table([[3.0]]))
+@example(table=make_table([[-0.0, 0.0, 0.0, -0.0, 1.0] * 20, np.arange(100.0)]))  # p * n / 100 integral
+@example(table=make_table([np.arange(300.0)[::-1], [1e308, -1e308, 5e-324] * 100]))
+def test_percentile_grid_matches_the_nearest_rank_loop(table):
+    grid = percentile_value_grid(table)
+    assert grid.shape == (table.n_attributes, 99)
+    # float.hex tells -0.0 from 0.0, which == does not
+    assert [[v.hex() for v in row] for row in grid.tolist()] == \
+        [[v.hex() for v in row] for row in nearest_rank_grid(table)]
