@@ -157,12 +157,10 @@ def efb_cuts(table: DecisionTable, num_cuts: int) -> CutSet:
     num_cuts = min(num_cuts, n - 1)  # n - 1 boundaries are 1..n-1, every gap; more only repeat them
     # round half to even, as Python's round
     bounds = np.clip(np.round(n * np.arange(1, num_cuts + 1) / (num_cuts + 1)), 1, n - 1).astype(np.int64)
-    per_attribute = []
-    for column in table.values.T:
-        col = np.sort(column)
-        raw = (col[bounds - 1] + col[bounds]) / 2.0
-        per_attribute.append(raw[_kept_cuts(raw, col[0], col[-1])].tolist())
-    return CutSet(tuple(per_attribute))
+    cols = np.sort(table.values.T, axis=1)  # one sorted row per attribute
+    raw = (cols[:, bounds - 1] + cols[:, bounds]) / 2.0
+    kept = _kept_cuts(raw, cols[:, :1], cols[:, -1:])
+    return CutSet(tuple(r[k].tolist() for r, k in zip(raw, kept)))
 
 
 def apply_cuts(table: DecisionTable, cuts: CutSet) -> DiscretizedTable:
@@ -202,13 +200,9 @@ def percentile_to_cut(table: DecisionTable, attribute: int, p: int) -> float:
 
 def percentile_value_grid(table: DecisionTable) -> np.ndarray:
     """(n_attributes, 99) array of nearest-rank percentile values, p = 1..99."""
-    n = table.n_objects
-    ranks = np.array([math.ceil(p * n / 100) for p in range(1, 100)])
-    ranks = np.maximum(ranks, 1) - 1
-    grid = np.empty((table.n_attributes, 99))
-    for a in range(table.n_attributes):
-        grid[a] = np.sort(table.values[:, a])[ranks]
-    return grid
+    # ranks from 1: the same IEEE division as math.ceil(p * n / 100), exact while p * n < 2**53
+    ranks = np.ceil(np.arange(1, 100) * table.n_objects / 100).astype(np.int64)
+    return np.sort(table.values.T, axis=1)[:, ranks - 1]
 
 
 def cuts_to_json(cuts: CutSet, attribute_names: tuple[str, ...]) -> dict:

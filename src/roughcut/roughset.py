@@ -225,32 +225,32 @@ def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
     return Partition(classes, class_of)
 
 
+def _decisions(part: Partition, decisions: Sequence[int], target: int) -> np.ndarray:
+    """The partition's decisions through the label door, once ``target`` is checked to be 0 or 1."""
+    decisions = _labels(decisions, part.n_objects, "decisions", "object")
+    if target not in (0, 1):
+        raise ValueError(f"target must be 0 or 1, got {target!r}")
+    return decisions
+
+
 def approximate(part: Partition, decisions: Sequence[int], target: int) -> Approximation:
     """Lower/upper approximation of X = {objects with decision == target}.
 
     Lower: union of classes entirely inside X. Upper: union of classes
-    intersecting X. Boundary: upper minus lower.
+    intersecting X. Boundary: upper minus lower. Each class's size and
+    target count are two bincounts over ``class_of``, as in ``induce_rules``.
     """
-    decisions = _labels(decisions, part.n_objects, "decisions", "object")
-    if target not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {target!r}")
-    lower: set[int] = set()
-    upper: set[int] = set()
-    for members in part.classes:
-        labels = decisions[list(members)]
-        hits = int((labels == target).sum())
-        if hits:
-            upper.update(members)
-            if hits == len(members):
-                lower.update(members)
-    return Approximation(frozenset(lower), frozenset(upper), frozenset(upper - lower), target)
+    hit = _decisions(part, decisions, target) == target
+    sizes = np.bincount(part.class_of)
+    hits = np.bincount(part.class_of[hit], minlength=sizes.size)
+    lower = frozenset(np.flatnonzero((hits == sizes)[part.class_of]).tolist())
+    upper = frozenset(np.flatnonzero(hits[part.class_of]).tolist())
+    return Approximation(lower, upper, upper - lower, target)
 
 
 def membership(part: Partition, decisions: Sequence[int], obj: int, target: int) -> float:
     """Rough membership: fraction of the object's class carrying the target label."""
-    decisions = _labels(decisions, part.n_objects, "decisions", "object")
-    if target not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {target!r}")
+    decisions = _decisions(part, decisions, target)
     obj = _integer(obj, "object")
     if not 0 <= obj < part.n_objects:
         raise ValueError(f"object {obj} is not in [0, {part.n_objects})")
