@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import DecisionTable, SplitSpec, _frozen, split
+from .data import DecisionTable, SplitSpec, _frozen, _integer, split
 from .discretize import CutSet, _kept_cuts, apply_cuts, percentile_value_grid
 from .roughset import _majority, _row_keys, classify_table, induce_rules
 
@@ -52,6 +52,8 @@ class AcoParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_ants", "num_iterations", "num_cuts", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.num_ants < 1:
             raise ValueError("num_ants must be positive")
         if self.num_iterations < 1:

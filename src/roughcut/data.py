@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +58,18 @@ def _labels(labels, n: int, name: str, row_name: str) -> np.ndarray:
         at = int(bad.argmax())
         raise ValueError(f"{row_name} {at}: {name} entry {given.item(at)!r} is not 0 or 1")
     return _frozen(given, np.int64)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: an int, a bool, a numpy integer or a float with no fraction."""
+    return isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+
+
+def _integer(value, field_name: str) -> int:
+    """``value`` as an int; anything but an integral number raises ValueError naming the field."""
+    if _is_integer(value):
+        return int(value)
+    raise ValueError(f"{field_name} {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -134,6 +147,7 @@ class SplitSpec:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DecisionTable, _frozen, _labels
+from .data import DecisionTable, _frozen, _integer, _is_integer, _labels
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,6 @@ class CutSet:
 
     def bin_counts(self) -> tuple[int, ...]:
         return tuple(len(cuts) + 1 for cuts in self.cuts_per_attribute)
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer: an int, a bool, a numpy integer or a float with no fraction."""
-    return isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-
-
-def _integer(value, field_name: str) -> int:
-    """``value`` as an int; anything but an integral number raises ValueError naming the field."""
-    if _is_integer(value):
-        return int(value)
-    raise ValueError(f"{field_name} {value!r} is not an integer")
 
 
 def _bin_counts(counts) -> tuple[int, ...]:

@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import _frozen, _labels
-from .discretize import DiscretizedTable, _bin_counts, _bin_matrix, _integer
+from .data import _frozen, _integer, _labels
+from .discretize import DiscretizedTable, _bin_counts, _bin_matrix
 
 KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
 
@@ -91,17 +91,22 @@ class RuleSet:
         object.__setattr__(self, "attribute_bin_counts", counts)
         object.__setattr__(self, "conditions", _frozen(_bin_matrix(self.conditions, counts, "rule"), np.int64))
         object.__setattr__(self, "decisions", _labels(self.decisions, self.conditions.shape[0], "decisions", "rule"))
-        for name, dtype in (("supports", np.int64), ("confidences", np.float64)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        if any(a.shape != self.conditions.shape[:1] for a in (self.supports, self.confidences)):
+        supports, confidences = np.asarray(self.supports), _frozen(self.confidences, np.float64)
+        if any(a.shape != self.conditions.shape[:1] for a in (supports, confidences)):
             raise ValueError("expected one condition row, support and confidence per rule")
+        if supports.dtype.kind not in "biu":  # each support as given: 2.7 and "3" are rejected, not truncated
+            given = np.asarray(self.supports, dtype=object).tolist()
+            supports = np.array([_integer(s, f"rule {at}: support") for at, s in enumerate(given)], dtype=object)
         for name, values, allowed, ok in (
-                ("support", self.supports, ">= 1", self.supports >= 1),
-                ("confidence", self.confidences, "in [0, 1]",
-                 (self.confidences >= 0) & (self.confidences <= 1))):
+                ("support", supports, ">= 1", supports >= 1),
+                ("support", supports, "< 2**63", supports <= 2**63 - 1),
+                ("confidence", confidences, "in [0, 1]", (confidences >= 0) & (confidences <= 1))):
             if not ok.all():
                 at = int(np.argmin(ok))
                 raise ValueError(f"rule {at}: {name} {values[at]} is not {allowed}")
+        object.__setattr__(self, "supports", _frozen(supports, np.int64))
+        object.__setattr__(self, "confidences", confidences)
+        object.__setattr__(self, "default_decision", _integer(self.default_decision, "default_decision"))
         if self.default_decision not in (0, 1):
             raise ValueError(f"default_decision must be 0 or 1, got {self.default_decision!r}")
         # Sorted distinct keys, the rule holding each (then -1, for no key),
@@ -213,7 +218,7 @@ def _group_rows(bins: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np
 
 def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
     """Group objects by exact equality of their projected bin vectors."""
-    attrs = sorted(set(int(a) for a in attributes))
+    attrs = sorted(set(_integer(a, "attribute") for a in attributes))
     if not attrs:
         raise ValueError("attribute subset must be non-empty")
     if attrs[0] < 0 or attrs[-1] >= table.n_attributes:
@@ -322,7 +327,7 @@ def ruleset_from_json(payload: dict) -> RuleSet:
     """Rebuild the rules of ``ruleset_to_json``; a malformed rule raises ValueError."""
     counts = _bin_counts(payload["attribute_bin_counts"])
     entries = payload["rules"]
-    conditions, decisions, supports = [], [], []
+    conditions, decisions = [], []
     for i, entry in enumerate(entries):
         bins = {int(a): _integer(b, f"rule {i}: attribute {a} bin")
                 for a, b in entry["conditions"].items()}
@@ -332,7 +337,7 @@ def ruleset_from_json(payload: dict) -> RuleSet:
             raise ValueError(f"rule {i}: certain flag disagrees with confidence {entry['confidence']}")
         conditions.append([bins[a] for a in range(len(counts))])
         decisions.append(_integer(entry["decision"], f"rule {i}: decision"))
-        supports.append(_integer(entry["support"], f"rule {i}: support"))
-    return RuleSet(np.array(conditions, dtype=np.int64).reshape(len(entries), len(counts)),
-                   decisions, supports, [entry["confidence"] for entry in entries],
-                   _integer(payload["default_decision"], "default_decision"), counts)
+    # no dtype: a bin past int64 reaches RuleSet's range check instead of overflowing here
+    return RuleSet(np.array(conditions).reshape(len(entries), len(counts)), decisions,
+                   [entry["support"] for entry in entries], [entry["confidence"] for entry in entries],
+                   payload["default_decision"], counts)

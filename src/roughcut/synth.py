@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DecisionTable
+from .data import DecisionTable, _integer
 
 GAS_NAMES = ("h2", "ch4", "c2h4", "c2h6", "c2h2", "co", "co2", "n2", "o2")
 FAULT_GASES = GAS_NAMES[:7]
@@ -119,6 +119,7 @@ def generate(profile: GasProfile, n: int, seed: int) -> DecisionTable:
     Each object gets one latent severity draw shared (weighted by
     latent_weight) across all gases. Deterministic per seed.
     """
+    n, seed = _integer(n, "n"), _integer(seed, "seed")
     if n < MIN_OBJECTS:
         raise ValueError(f"n must be at least {MIN_OBJECTS}")
     rng = np.random.default_rng(seed)

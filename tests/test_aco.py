@@ -536,6 +536,17 @@ def test_aco_params_validation():
         AcoParams(seed=-1)
 
 
+def test_aco_params_read_counts_and_seed_as_integers():
+    # unchecked, each constructed and optimize then raised numpy's TypeError
+    for name in ("num_ants", "num_iterations", "num_cuts", "seed"):
+        for bad in (2.5, "2"):
+            with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(bad))} is not an integer$"):
+                AcoParams(**{name: bad})
+    params = AcoParams(num_ants=2.0, num_iterations=np.int64(3), num_cuts=np.uint8(1), seed=4.0)
+    counts = (params.num_ants, params.num_iterations, params.num_cuts, params.seed)
+    assert counts == (2, 3, 1, 4) and all(type(count) is int for count in counts)
+
+
 def test_optimize_is_deterministic():
     rng = np.random.default_rng(515)
     table = random_train_table(rng, n=60, m=2)

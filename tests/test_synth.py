@@ -44,6 +44,15 @@ def test_generate_rejects_tiny_n():
         generate(default_profile(), 5, seed=0)
 
 
+def test_generate_reads_n_and_seed_as_integers():
+    # unchecked, each raised numpy's TypeError
+    for n, seed, message in ((20.5, 1, r"^n 20\.5 is not an integer$"), ("20", 1, "^n '20' is not an integer$"),
+                             (20, 1.5, r"^seed 1\.5 is not an integer$")):
+        with pytest.raises(ValueError, match=message):
+            generate(default_profile(), n, seed)
+    assert generate(default_profile(), 20.0, np.int64(1)) == generate(default_profile(), 20, 1)
+
+
 def test_generate_always_emits_both_classes():
     profile = profile_from_json(profile_to_json(default_profile()))
     skewed = GasProfile(gases=profile.gases, fault_fraction=0.02, latent_weight=0.5)
