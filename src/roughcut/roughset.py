@@ -242,8 +242,7 @@ def approximate(part: Partition, decisions: Sequence[int], target: int) -> Appro
     """Lower/upper approximation of X = {objects with decision == target}.
 
     Lower: union of classes entirely inside X. Upper: union of classes
-    intersecting X. Boundary: upper minus lower. Each class's size and
-    target count are two bincounts over ``class_of``, as in ``induce_rules``.
+    intersecting X. Boundary: upper minus lower.
     """
     hit = _decisions(part, decisions, target) == target
     sizes = np.bincount(part.class_of)

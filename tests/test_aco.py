@@ -534,9 +534,6 @@ def test_aco_params_validation():
         AcoParams(num_cuts=0)
     with pytest.raises(ValueError):
         AcoParams(seed=-1)
-
-
-def test_aco_params_read_counts_and_seed_as_integers():
     # unchecked, each constructed and optimize then raised numpy's TypeError
     for name in ("num_ants", "num_iterations", "num_cuts", "seed"):
         for bad in (2.5, "2"):
