@@ -231,9 +231,10 @@ def test_every_label_check_rejects_and_accepts_the_same_labels():
         ],
         "predictions": [lambda labels: confusion(labels, np.array([0, 1]))],
     }
+    # a plain list that mixes numbers and text is read as given, not turned into text first
     for labels in (np.array([0, 2]), np.array([0, -1]), np.array([0, 0.5]), np.array([0, np.nan]),
-                   np.array([0, "1"], dtype=object), np.array([0, None], dtype=object)):
-        label = labels.item(1)
+                   np.array([0, "1"], dtype=object), np.array([0, None], dtype=object), [0, "1"], [0, None]):
+        label = np.asarray(labels, dtype=object)[1]
         for name, builds in readers.items():
             for build in builds:
                 with pytest.raises(ValueError, match=re.escape(f"object 1: {name} entry {label!r} is not 0 or 1")):
@@ -283,6 +284,11 @@ def test_bin_matrices_are_read_as_integers_without_a_numpy_warning():
             DiscretizedTable([[0, None]], [0], (2, 2))
         with pytest.raises(ValueError, match=r"^object 0: bin '1' for attribute 0 is not an integer$"):
             DiscretizedTable([["1", "0"]], [0], (2, 2))
+        # a plain list mixing numbers and text: the text entry is named, not the number before it
+        with pytest.raises(ValueError, match=r"^object 0: bin '1' for attribute 1 is not an integer$"):
+            DiscretizedTable([[0, "1"]], [0], (2, 2))
+        with pytest.raises(ValueError, match=r"^object 2: decisions entry '1' is not 0 or 1$"):
+            DecisionTable(("a",), [[1.0], [2.0], [3.0]], [0, 1, "1"])
         # integral, but beyond int64: out of range, not a wrapped or saturated cast
         for bad in (1e30, -1e30, 2.0**63, 2**64, -2**64):
             with pytest.raises(ValueError, match=r"^object 0: bin index out of range for attribute 1 \(2 bins\)$"):

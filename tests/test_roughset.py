@@ -21,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from roughcut import (
     DiscretizedTable,
+    Partition,
     RuleSet,
     approximate,
     classify_table,
@@ -125,6 +126,18 @@ def test_partition_validation():
     assert partition(table, [0.0, np.int64(0)]).classes == partition(table, [0]).classes
 
 
+def test_partition_reads_class_of_as_integers():
+    # unchecked, 0.7 was truncated to class 0 and "1" parsed as class 1
+    for class_of, message in (([0.7], r"^object 0: class 0\.7 is not an integer$"),
+                              (["1"], r"^object 0: class '1' is not an integer$"),
+                              ([0, "1"], r"^object 1: class '1' is not an integer$")):
+        with pytest.raises(ValueError, match=message):
+            Partition((frozenset({0}),), class_of)
+    for class_of in ([0, 1], [0.0, 1.0], np.array([0, 1], dtype=np.uint8), np.array([0, 1], dtype=object)):
+        stored = Partition((frozenset({0}), frozenset({1})), class_of).class_of
+        assert stored.dtype == np.int64 and stored.tolist() == [0, 1]
+
+
 def test_approximate_crisp_set():
     table = disc([[0], [0], [1]], [1, 1, 0])
     part = partition(table, [0])
@@ -195,6 +208,8 @@ def test_membership_and_approximate_reject_a_target_outside_zero_and_one(target)
     # the two classes, and the same values given as other numbers
     for good in (0, 1, True, 1.0, np.int64(0)):
         assert approximate(part, table.decisions, good) == approximate(part, table.decisions, int(good))
+        # stored as a Python int, as RuleSet.default_decision is
+        assert type(approximate(part, table.decisions, good).target_class) is int
         assert membership(part, table.decisions, 0, good) == membership(part, table.decisions, 0, int(good))
 
 
@@ -388,6 +403,9 @@ def test_ruleset_rejects_out_of_range_fields():
         ({"supports": (0, 1)}, "rule 0: support 0"),
         ({"confidences": (1.0, float("nan"))}, "rule 1: confidence nan"),
         ({"confidences": (1.01, 0.5)}, "rule 0: confidence 1.01"),
+        # unchecked, "0.5" was parsed and stored as 0.5
+        ({"confidences": ("0.5", 1.0)}, r"^rule 0: confidence '0\.5' is not a number$"),
+        ({"confidences": (1.0, None)}, r"^rule 1: confidence None is not a number$"),
         ({"default": 7}, "default_decision must be 0 or 1, got 7"),
         # unchecked, 2.7 was stored as 2, "3" as 3, a support past int64 raised OverflowError
         # and default_decision 0.5 was reported as outside {0, 1}
@@ -466,11 +484,12 @@ def test_ruleset_from_json_rejects_malformed_rules():
         ({"support": 0}, "rule 1: support 0 is not >= 1"),
         ({"confidence": 1.5, "certain": False}, r"rule 1: confidence 1.5 is not in \[0, 1\]"),
         ({"confidence": -0.25, "certain": False}, r"rule 1: confidence -0.25 is not in \[0, 1\]"),
-        ({"decision": 1.5}, "rule 1: decision 1.5 is not an integer"),
-        ({"decision": "1"}, "rule 1: decision '1' is not an integer"),
+        ({"decision": 1.5}, "rule 1: decisions entry 1.5 is not 0 or 1"),
+        ({"decision": "1"}, "rule 1: decisions entry '1' is not 0 or 1"),
         ({"support": 2.7}, "rule 1: support 2.7 is not an integer"),
         ({"support": float("nan")}, "rule 1: support nan is not an integer"),
-        ({"conditions": {"0": 0.9, "1": 0}}, "rule 1: attribute 0 bin 0.9 is not an integer"),
+        ({"conditions": {"0": 0.9, "1": 0}}, "rule 1: bin 0.9 for attribute 0 is not an integer"),
+        ({"conditions": {"0": 2, "1": "0"}}, "rule 1: bin '0' for attribute 1 is not an integer"),
         # unchecked, each raised OverflowError from a cast to int64 before the range checks
         ({"support": 2**63}, r"rule 1: support 9223372036854775808 is not < 2\*\*63"),
         ({"support": 2**64}, r"rule 1: support 18446744073709551616 is not < 2\*\*63"),
@@ -501,6 +520,16 @@ def test_ruleset_from_json_rejects_malformed_rules():
     # all three at once: the first bad rule field is reported
     with pytest.raises(ValueError, match="rule 1: decisions entry 2 is not 0 or 1"):
         ruleset_from_json({**payload(decision=2, support=-3), "default_decision": 7})
+
+
+def test_rules_json_with_a_text_decision_names_its_rule(tmp_path):
+    # the decisions [0, "1"] are read as given, so rule 1 is named, not rule 0 as text "0"
+    rules = [{"conditions": {"0": 0}, "decision": 0, "support": 2, "confidence": 1.0, "certain": True},
+             {"conditions": {"0": 1}, "decision": "1", "support": 1, "confidence": 1.0, "certain": True}]
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"rules": rules, "default_decision": 0, "attribute_bin_counts": [2]}))
+    with pytest.raises(ValueError, match="^rule 1: decisions entry '1' is not 0 or 1$"):
+        ruleset_from_json(json.loads(path.read_text()))
 
 
 def test_ruleset_json_roundtrip():
@@ -796,12 +825,13 @@ def flawed_bin_matrices(draw):
     """Distinct bin rows with their counts, and the flaw drawn into them.
 
     The flaw is one bin out of range, one bin that is not an integer (the
-    matrix is then float), one bad count, or none.
+    matrix is then float), one bin given as text (the matrix is then a plain
+    list of lists mixing ints and strings), one bad count, or none.
     """
     counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     rows = draw(st.lists(st.tuples(*[st.integers(0, c - 1) for c in counts]), min_size=1, max_size=8, unique=True))
     bins = np.array(rows, dtype=np.int64).reshape(len(rows), len(counts))
-    flaw = draw(st.sampled_from(["none", "bin", "fraction", "count"]))
+    flaw = draw(st.sampled_from(["none", "bin", "fraction", "text", "count"]))
     attr = draw(st.integers(0, len(counts) - 1))
     if flaw == "bin":
         bad = st.sampled_from([-1, counts[attr], counts[attr] + 7, -2**63, 2**63 - 1])
@@ -809,6 +839,9 @@ def flawed_bin_matrices(draw):
     elif flaw == "fraction":
         bins = bins.astype(np.float64)
         bins[draw(st.integers(0, len(rows) - 1)), attr] = draw(st.sampled_from([0.5, 1.9, np.nan, np.inf]))
+    elif flaw == "text":
+        bins = bins.tolist()
+        bins[draw(st.integers(0, len(rows) - 1))][attr] = draw(st.sampled_from(["0", "1", "x", ""]))
     elif flaw == "count":
         counts[attr] = draw(st.sampled_from([0, -1, 2**63, 2**64, 2.7, float("nan")]))
     return bins, tuple(counts), flaw
@@ -819,6 +852,7 @@ def flawed_bin_matrices(draw):
 @example(case=(np.zeros((3, 0), dtype=np.int64), (), "count"))
 @example(case=(np.array([[0, 1], [2, 0]]), (3, 2**64), "count"))
 @example(case=(np.array([[0.0, 1.0], [1.9, 0.0]]), (3, 2), "fraction"))
+@example(case=([[0, 1], [2, "0"]], (3, 2), "text"))
 def test_tables_and_rule_sets_reject_a_bin_matrix_alike(case):
     bins, counts, flaw = case
     n = len(bins)
@@ -830,12 +864,15 @@ def test_tables_and_rule_sets_reject_a_bin_matrix_alike(case):
         assert table_error.replace("object", "rule") == rule_error
     if flaw == "fraction":
         assert table_error.endswith("is not an integer")
+    if flaw == "text":
+        row, attr = next((r, a) for r, line in enumerate(bins) for a, b in enumerate(line) if isinstance(b, str))
+        assert table_error == f"object {row}: bin {bins[row][attr]!r} for attribute {attr} is not an integer"
     if flaw == "count":
         return
     # match and classify_table read their query bins by the same rule.
     rules = RuleSet(np.zeros((1, len(counts))), [0], [1], [1.0], 0, counts)
     assert raised(lambda: rules.match(bins)) == table_error
-    if flaw != "fraction" and 0 <= bins.min() and bins.max() < 2**62:
+    if flaw not in ("fraction", "text") and 0 <= bins.min() and bins.max() < 2**62:
         # a table with wider counts holds the bins, which the rules' counts reject
         wide = tuple(max(c, int(b) + 1) for c, b in zip(counts, bins.max(axis=0)))
         table = DiscretizedTable(bins, np.arange(n) % 2, wide)
