@@ -51,6 +51,8 @@ def _labels(labels, n: int, name: str, row_name: str) -> np.ndarray:
     ValueError names the first entry that is not 0 or 1 by row and value.
     """
     given = np.asarray(labels)
+    if given.dtype.kind not in "biuf":  # as given, so [0, "1"] does not turn the 0 into text
+        given = np.asarray(labels, dtype=object)
     if given.shape != (n,):
         raise ValueError(f"{name} must have one entry per {row_name}")
     bad = ~((given == 0) | (given == 1))
@@ -70,6 +72,21 @@ def _integer(value, field_name: str) -> int:
     if _is_integer(value):
         return int(value)
     raise ValueError(f"{field_name} {value!r} is not an integer")
+
+
+def _integers(values, name: str, row_name: str) -> np.ndarray:
+    """``values`` as an integer array: an integer dtype (bools too) as it is, anything else read as
+    Python objects, so "1" is not parsed; ValueError names the first entry that is not an integer."""
+    given = np.asarray(values)
+    if given.dtype.kind in "biu":
+        return given
+    given = np.asarray(values, dtype=object)
+    whole = np.frompyfunc(_is_integer, 1, 1)(given).astype(bool)
+    if not whole.all():
+        at = tuple(np.argwhere(~whole)[0].tolist())
+        attribute = f" for attribute {at[1]}" if given.ndim == 2 else ""
+        raise ValueError(f"{row_name} {at[0]}: {name} {given[at]!r}{attribute} is not an integer")
+    return np.frompyfunc(int, 1, 1)(given)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DecisionTable, _frozen, _integer, _is_integer, _labels
+from .data import DecisionTable, _frozen, _integer, _integers, _labels
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,13 @@ def _bin_matrix(bins, counts: tuple[int, ...], row_name: str) -> np.ndarray:
     """``bins`` as an integer matrix, one row of ``len(counts)`` bins per ``row_name``.
 
     Integer bins are range-checked in their own dtype and returned in it
-    (bools as uint8, uint64 as int64); floats and objects come back as int64.
+    (bools as uint8, uint64 as int64); the rest, read by ``_integers``, come back as int64.
     ValueError names the first bin that is not an integer in [0, count); bools and integral floats pass.
     """
-    given = np.asarray(bins)
-    if given.ndim != 2 or given.shape[1] != len(counts):
-        raise ValueError(f"expected {len(counts)} bins per {row_name}, got shape {given.shape}")
-    if given.dtype.kind not in "biu":
-        fraction = ~np.frompyfunc(_is_integer, 1, 1)(given).astype(bool)
-        if fraction.any():
-            row, attr = np.argwhere(fraction)[0]
-            raise ValueError(f"{row_name} {row}: bin {given.item(row, attr)!r} for attribute {attr} is not an integer")
+    if np.ndim(bins) != 2 or np.shape(bins)[1] != len(counts):
+        raise ValueError(f"expected {len(counts)} bins per {row_name}, got shape {np.shape(bins)}")
+    given = _integers(bins, "bin", row_name)
+    if given.dtype.kind == "O":
         given = np.where((given >= 0) & (given < 2**63), given, -1).astype(np.int64)  # a bin past int64 reads as -1
     elif given.dtype.kind == "b":
         given = given.view(np.uint8)

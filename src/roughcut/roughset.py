@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import _frozen, _integer, _labels
+from .data import _frozen, _integer, _integers, _labels
 from .discretize import DiscretizedTable, _bin_counts, _bin_matrix
 
 KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
@@ -30,7 +30,7 @@ class Partition:
     class_of: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "class_of", _frozen(self.class_of, np.int64))
+        object.__setattr__(self, "class_of", _frozen(_integers(self.class_of, "class", "object"), np.int64))
 
     @property
     def n_objects(self) -> int:
@@ -91,12 +91,9 @@ class RuleSet:
         object.__setattr__(self, "attribute_bin_counts", counts)
         object.__setattr__(self, "conditions", _frozen(_bin_matrix(self.conditions, counts, "rule"), np.int64))
         object.__setattr__(self, "decisions", _labels(self.decisions, self.conditions.shape[0], "decisions", "rule"))
-        supports, confidences = np.asarray(self.supports), _frozen(self.confidences, np.float64)
-        if any(a.shape != self.conditions.shape[:1] for a in (supports, confidences)):
+        if any(np.shape(a) != self.conditions.shape[:1] for a in (self.supports, self.confidences)):
             raise ValueError("expected one condition row, support and confidence per rule")
-        if supports.dtype.kind not in "biu":  # each support as given: 2.7 and "3" are rejected, not truncated
-            given = np.asarray(self.supports, dtype=object).tolist()
-            supports = np.array([_integer(s, f"rule {at}: support") for at, s in enumerate(given)], dtype=object)
+        supports, confidences = _integers(self.supports, "support", "rule"), _frozen(self.confidences, np.float64)
         for name, values, allowed, ok in (
                 ("support", supports, ">= 1", supports >= 1),
                 ("support", supports, "< 2**63", supports <= 2**63 - 1),
@@ -323,20 +320,16 @@ def ruleset_to_json(rules: RuleSet) -> dict:
 
 
 def ruleset_from_json(payload: dict) -> RuleSet:
-    """Rebuild the rules of ``ruleset_to_json``; a malformed rule raises ValueError."""
+    """Rebuild the rules of ``ruleset_to_json``; a malformed rule raises ValueError. Only the layout
+    is checked here: every field goes to ``RuleSet`` as written, as it would from Python."""
     counts = _bin_counts(payload["attribute_bin_counts"])
     entries = payload["rules"]
-    conditions, decisions = [], []
-    for i, entry in enumerate(entries):
-        bins = {int(a): _integer(b, f"rule {i}: attribute {a} bin")
-                for a, b in entry["conditions"].items()}
-        if sorted(bins) != list(range(len(counts))):
+    conditions = [dict(sorted((int(a), b) for a, b in entry["conditions"].items())) for entry in entries]
+    for i, (entry, bins) in enumerate(zip(entries, conditions)):
+        if list(bins) != list(range(len(counts))):
             raise ValueError(f"rule {i}: conditions must name attributes 0..{len(counts) - 1} once each")
-        if bool(entry["certain"]) != (float(entry["confidence"]) == 1.0):
+        if bool(entry["certain"]) != (entry["confidence"] == 1.0):
             raise ValueError(f"rule {i}: certain flag disagrees with confidence {entry['confidence']}")
-        conditions.append([bins[a] for a in range(len(counts))])
-        decisions.append(_integer(entry["decision"], f"rule {i}: decision"))
-    # no dtype: a bin past int64 reaches RuleSet's range check instead of overflowing here
-    return RuleSet(np.array(conditions).reshape(len(entries), len(counts)), decisions,
-                   [entry["support"] for entry in entries], [entry["confidence"] for entry in entries],
-                   payload["default_decision"], counts)
+    return RuleSet([list(bins.values()) for bins in conditions] or np.empty((0, len(counts)), dtype=np.int64),
+                   [entry["decision"] for entry in entries], [entry["support"] for entry in entries],
+                   [entry["confidence"] for entry in entries], payload["default_decision"], counts)
