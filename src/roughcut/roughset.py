@@ -7,6 +7,7 @@ every attribute considered; each equivalence class becomes one if-then rule.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -93,7 +94,12 @@ class RuleSet:
         object.__setattr__(self, "decisions", _labels(self.decisions, self.conditions.shape[0], "decisions", "rule"))
         if any(np.shape(a) != self.conditions.shape[:1] for a in (self.supports, self.confidences)):
             raise ValueError("expected one condition row, support and confidence per rule")
-        supports, confidences = _integers(self.supports, "support", "rule"), _frozen(self.confidences, np.float64)
+        supports, confidences = _integers(self.supports, "support", "rule"), np.asarray(self.confidences)
+        if confidences.dtype.kind not in "biuf":  # each as given: "0.5" is rejected, not parsed
+            for at, confidence in enumerate(np.asarray(self.confidences, dtype=object)):
+                if not isinstance(confidence, numbers.Real):
+                    raise ValueError(f"rule {at}: confidence {confidence!r} is not a number")
+        confidences = _frozen(confidences, np.float64)
         for name, values, allowed, ok in (
                 ("support", supports, ">= 1", supports >= 1),
                 ("support", supports, "< 2**63", supports <= 2**63 - 1),
@@ -227,12 +233,12 @@ def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
     return Partition(classes, class_of)
 
 
-def _decisions(part: Partition, decisions: Sequence[int], target: int) -> np.ndarray:
-    """The partition's decisions through the label door, once ``target`` is checked to be 0 or 1."""
+def _decisions(part: Partition, decisions: Sequence[int], target: int) -> tuple[np.ndarray, int]:
+    """The partition's decisions through the label door, and ``target`` as an int once it is checked to be 0 or 1."""
     decisions = _labels(decisions, part.n_objects, "decisions", "object")
     if target not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {target!r}")
-    return decisions
+    return decisions, int(target)
 
 
 def approximate(part: Partition, decisions: Sequence[int], target: int) -> Approximation:
@@ -241,7 +247,8 @@ def approximate(part: Partition, decisions: Sequence[int], target: int) -> Appro
     Lower: union of classes entirely inside X. Upper: union of classes
     intersecting X. Boundary: upper minus lower.
     """
-    hit = _decisions(part, decisions, target) == target
+    decisions, target = _decisions(part, decisions, target)
+    hit = decisions == target
     sizes = np.bincount(part.class_of)
     hits = np.bincount(part.class_of[hit], minlength=sizes.size)
     lower = frozenset(np.flatnonzero((hits == sizes)[part.class_of]).tolist())
@@ -251,7 +258,7 @@ def approximate(part: Partition, decisions: Sequence[int], target: int) -> Appro
 
 def membership(part: Partition, decisions: Sequence[int], obj: int, target: int) -> float:
     """Rough membership: fraction of the object's class carrying the target label."""
-    decisions = _decisions(part, decisions, target)
+    decisions, target = _decisions(part, decisions, target)
     obj = _integer(obj, "object")
     if not 0 <= obj < part.n_objects:
         raise ValueError(f"object {obj} is not in [0, {part.n_objects})")
@@ -329,7 +336,7 @@ def ruleset_from_json(payload: dict) -> RuleSet:
         if list(bins) != list(range(len(counts))):
             raise ValueError(f"rule {i}: conditions must name attributes 0..{len(counts) - 1} once each")
         if bool(entry["certain"]) != (entry["confidence"] == 1.0):
-            raise ValueError(f"rule {i}: certain flag disagrees with confidence {entry['confidence']}")
+            raise ValueError(f"rule {i}: certain flag disagrees with confidence {entry['confidence']!r}")
     return RuleSet([list(bins.values()) for bins in conditions] or np.empty((0, len(counts)), dtype=np.int64),
                    [entry["decision"] for entry in entries], [entry["support"] for entry in entries],
                    [entry["confidence"] for entry in entries], payload["default_decision"], counts)

@@ -490,6 +490,10 @@ def test_ruleset_from_json_rejects_malformed_rules():
         ({"support": float("nan")}, "rule 1: support nan is not an integer"),
         ({"conditions": {"0": 0.9, "1": 0}}, "rule 1: bin 0.9 for attribute 0 is not an integer"),
         ({"conditions": {"0": 2, "1": "0"}}, "rule 1: bin '0' for attribute 1 is not an integer"),
+        # a confidence is not parsed from text, nor a None passed to float()
+        ({"confidence": "1.0"}, "rule 1: certain flag disagrees with confidence '1.0'"),
+        ({"confidence": "0.5", "certain": False}, "rule 1: confidence '0.5' is not a number"),
+        ({"confidence": None, "certain": False}, "rule 1: confidence None is not a number"),
         # unchecked, each raised OverflowError from a cast to int64 before the range checks
         ({"support": 2**63}, r"rule 1: support 9223372036854775808 is not < 2\*\*63"),
         ({"support": 2**64}, r"rule 1: support 18446744073709551616 is not < 2\*\*63"),
