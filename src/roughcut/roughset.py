@@ -31,6 +31,8 @@ class Partition:
     class_of: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.class_of) != 1:
+            raise ValueError("class_of must have one entry per object")
         object.__setattr__(self, "class_of", _frozen(_integers(self.class_of, "class", "object"), np.int64))
 
     @property

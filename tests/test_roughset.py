@@ -130,7 +130,9 @@ def test_partition_reads_class_of_as_integers():
     # unchecked, 0.7 was truncated to class 0 and "1" parsed as class 1
     for class_of, message in (([0.7], r"^object 0: class 0\.7 is not an integer$"),
                               (["1"], r"^object 0: class '1' is not an integer$"),
-                              ([0, "1"], r"^object 1: class '1' is not an integer$")):
+                              ([0, "1"], r"^object 1: class '1' is not an integer$"),
+                              (0.7, "^class_of must have one entry per object$"),
+                              ([[0]], "^class_of must have one entry per object$")):
         with pytest.raises(ValueError, match=message):
             Partition((frozenset({0}),), class_of)
     for class_of in ([0, 1], [0.0, 1.0], np.array([0, 1], dtype=np.uint8), np.array([0, 1], dtype=object)):
@@ -414,6 +416,7 @@ def test_ruleset_rejects_out_of_range_fields():
         ({"supports": (1, "3")}, r"^rule 1: support '3' is not an integer$"),
         ({"supports": np.array([1.0, np.nan])}, r"^rule 1: support nan is not an integer$"),
         ({"supports": (1, None)}, r"^rule 1: support None is not an integer$"),
+        ({"supports": (1, -3.0)}, r"^rule 1: support -3 is not >= 1$"),
         ({"supports": (1, 2**63)}, r"^rule 1: support 9223372036854775808 is not < 2\*\*63$"),
         ({"supports": (2**64, 1)}, r"^rule 0: support 18446744073709551616 is not < 2\*\*63$"),
         ({"supports": np.array([1, 2**63], dtype=np.uint64)},
