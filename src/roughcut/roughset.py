@@ -236,7 +236,7 @@ def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
 
 
 def _decisions(part: Partition, decisions: Sequence[int], target: int) -> tuple[np.ndarray, int]:
-    """The partition's decisions through the label door, and ``target`` as an int once it is checked to be 0 or 1."""
+    """The partition's decisions through the label door, and ``target`` as an int once checked to be 0 or 1."""
     decisions = _labels(decisions, part.n_objects, "decisions", "object")
     if target not in (0, 1):
         raise ValueError(f"target must be 0 or 1, got {target!r}")
@@ -333,12 +333,12 @@ def ruleset_from_json(payload: dict) -> RuleSet:
     is checked here: every field goes to ``RuleSet`` as written, as it would from Python."""
     counts = _bin_counts(payload["attribute_bin_counts"])
     entries = payload["rules"]
-    conditions = [dict(sorted((int(a), b) for a, b in entry["conditions"].items())) for entry in entries]
+    conditions = [{int(a): b for a, b in entry["conditions"].items()} for entry in entries]
     for i, (entry, bins) in enumerate(zip(entries, conditions)):
-        if list(bins) != list(range(len(counts))):
+        if sorted(bins) != list(range(len(counts))) or len(bins) < len(entry["conditions"]):  # "00" is "0" again
             raise ValueError(f"rule {i}: conditions must name attributes 0..{len(counts) - 1} once each")
         if bool(entry["certain"]) != (entry["confidence"] == 1.0):
             raise ValueError(f"rule {i}: certain flag disagrees with confidence {entry['confidence']!r}")
-    return RuleSet([list(bins.values()) for bins in conditions] or np.empty((0, len(counts)), dtype=np.int64),
-                   [entry["decision"] for entry in entries], [entry["support"] for entry in entries],
+    rows = [[bins[a] for a in range(len(counts))] for bins in conditions] or np.empty((0, len(counts)), dtype=np.int64)
+    return RuleSet(rows, [entry["decision"] for entry in entries], [entry["support"] for entry in entries],
                    [entry["confidence"] for entry in entries], payload["default_decision"], counts)

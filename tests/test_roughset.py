@@ -477,6 +477,8 @@ def test_ruleset_from_json_rejects_malformed_rules():
     cases = [
         ({"conditions": {"0": 2}}, "rule 1: conditions"),
         ({"conditions": {"0": 2, "1": 0, "2": 0}}, "rule 1: conditions"),
+        # unchecked, the two spellings of attribute 0 collapsed and the last one was kept
+        ({"conditions": {"0": 2, "00": 1, "1": 0}}, "rule 1: conditions"),
         ({"conditions": {"0": 3, "1": 0}}, "rule 1: bin index out of range for attribute 0"),
         ({"conditions": {"0": 2, "1": -1}}, "rule 1: bin index out of range for attribute 1"),
         ({"certain": False}, "rule 1: certain"),
