@@ -477,6 +477,10 @@ def test_update_pheromones_requires_costs():
     ant = AntSolution(((5,),), CutSet(((0.5,),)))
     with pytest.raises(ValueError, match="evaluated"):
         update_pheromones(model, [ant], AcoParams())
+    # unchecked, the cost "0.5" was parsed as 0.5
+    ants = [AntSolution(((5,),), CutSet(((0.5,),)), cost) for cost in (0.25, "0.5")]
+    with pytest.raises(ValueError, match=r"^solution 1: cost '0\.5' is not a number$"):
+        update_pheromones(model, ants, AcoParams())
 
 
 def test_update_pheromones_floors():
@@ -512,6 +516,13 @@ def test_pheromone_model_validation():
             PheromoneModel(tau)
     with pytest.raises(ValueError, match="finite"):
         PheromoneModel(np.full((1, N_POSITIONS), np.inf))
+    # tau is read as given, and a bad entry is named by attribute and position
+    with pytest.raises(ValueError, match=r"^attribute 0: tau '1\.0' at position 0 is not a number$"):
+        PheromoneModel([["1.0"] * N_POSITIONS])
+    tau = np.ones((2, N_POSITIONS), dtype=object)
+    tau[1, 5] = 10**400
+    with pytest.raises(ValueError, match=re.escape(f"attribute 1: tau {10**400} at position 5 is not a number")):
+        PheromoneModel(tau)
 
 
 def test_aco_params_validation():

@@ -222,7 +222,9 @@ def edited_profile(edit):
     (edited_profile(lambda p: p["gases"].pop("h2")), "profile field gases.h2 is missing"),
     (edited_profile(lambda p: p.update(latent_weight=None)),
      "profile field latent_weight is not a number: None"),
-], ids=["json-array", "missing-gas", "null-number"])
+    (edited_profile(lambda p: p.update(fault_fraction="0.3")),
+     "profile field fault_fraction is not a number: '0.3'"),
+], ids=["json-array", "missing-gas", "null-number", "text-number"])
 def test_malformed_profile_is_one_error_line(tmp_path, capsys, payload, field):
     profile_path, out = tmp_path / "profile.json", tmp_path / "out.csv"
     profile_path.write_text(payload)

@@ -137,6 +137,13 @@ def test_decision_table_validation():
         DecisionTable((), np.zeros((1, 0)), np.array([1]))
     with pytest.raises(ValueError, match="at least one object"):
         DecisionTable(("a",), np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
+    # values are read as given: unchecked, "1.5" was parsed and 10**400 raised a bare OverflowError
+    with pytest.raises(ValueError, match=r"^object 0: value '1\.5' for attribute 0 is not a number$"):
+        DecisionTable(("a",), [["1.5"], ["2.5"]], [0, 1])
+    with pytest.raises(ValueError, match=r"^object 1: value '2\.5' for attribute 1 is not a number$"):
+        DecisionTable(("a", "b"), [[1.0, 2.0], [3.0, "2.5"]], [0, 1])
+    with pytest.raises(ValueError, match=re.escape(f"object 1: value {10**400} for attribute 0 is not a number")):
+        DecisionTable(("a",), [[1.0], [10**400]], [0, 1])
 
 
 def test_decision_table_is_immutable():

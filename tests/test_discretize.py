@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from roughcut import (
+    AcoParams,
+    AntSolution,
     CutSet,
     DecisionTable,
     DiscretizedTable,
+    PheromoneModel,
     RuleSet,
     apply_cuts,
     approximate,
@@ -23,12 +27,15 @@ from roughcut import (
     cuts_from_json,
     cuts_to_json,
     efb_cuts,
+    initial_model,
     membership,
     partition,
     percentile_to_cut,
     percentile_value_grid,
     roc,
+    update_pheromones,
 )
+from roughcut.aco import N_POSITIONS
 
 
 def interior_cuts(raw, lo, hi):
@@ -261,6 +268,80 @@ def test_every_label_check_rejects_and_accepts_the_same_labels():
         assert roc([0.9, 0.1], labels) == roc([0.9, 0.1], [0, 1])
         assert approximate(part, labels, 1) == approximate(part, [0, 1], 1)
         assert membership(part, labels, 1, 1) == 0.5
+
+
+def read_reals(entries):
+    """What each reader of a float vector makes of ``entries``, a plain list or a 1-D array:
+    the floats it stores (for roc, the curve; for update_pheromones, the new tau) or its message."""
+    n, listed = len(entries), isinstance(entries, list)
+    column = [[entry] for entry in entries] if listed else entries[:, None]
+    padding = [1.0] * (N_POSITIONS - n)
+    tau = [list(entries) + padding] if listed else np.concatenate([entries, np.array(padding, entries.dtype)])[None]
+    cuts = CutSet(((0.5,),))
+    readers = {
+        "value": lambda: DecisionTable(("a",), column, [0] * n).values[:, 0].tolist(),
+        "tau": lambda: PheromoneModel(tau).tau[0, :n].tolist(),
+        "score": lambda: roc(entries, [i % 2 for i in range(n)]),
+        "confidence": lambda: RuleSet([[i] for i in range(n)], [0] * n, [1] * n, entries, 0, (n,)).confidences.tolist(),
+        "cut": lambda: list(CutSet((entries,)).cuts_per_attribute[0]),
+        "cost": lambda: update_pheromones(initial_model(1), [AntSolution(((50,),), cuts, cost) for cost in entries],
+                                          AcoParams()).tau.tolist(),
+    }
+    read = {}
+    for name, reader in readers.items():
+        try:
+            read[name] = reader()
+        except ValueError as error:
+            read[name] = str(error)
+    return read
+
+
+@st.composite
+def real_vectors(draw):
+    """Distinct ascending numbers in (0, 1] in a numeric array, an object array or a plain list,
+    and, unless the form is numeric, one entry replaced by a flaw: text, None, a complex or an
+    integer too large for a float. Returns the entries and the flaw's position (None if unflawed)."""
+    entries = [k / 1000 for k in sorted(draw(st.sets(st.integers(1, 1000), min_size=2, max_size=8)))]
+    form = draw(st.sampled_from(["float64", "float32", "object", "list", "mixed"]))
+    if form == "mixed":  # numbers that are not floats: ints, Fractions and numpy scalars
+        entries = [draw(st.sampled_from([e, Fraction(round(e * 1000), 1000), np.float32(e)])) for e in entries]
+        entries = [1 if e == 1 else e for e in entries]
+    at = None
+    if form in ("object", "list", "mixed") and draw(st.booleans()):
+        at = draw(st.integers(0, len(entries) - 1))
+        entries[at] = draw(st.sampled_from(["1.5", None, "", 1 + 0j, 10**400]))
+    if form in ("float64", "float32", "object"):
+        entries = np.array(entries, dtype=form)
+    return entries, at
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=real_vectors())
+@example(case=(["0.9", "0.1"], 0))
+@example(case=([0.5, 10**400], 1))
+@example(case=(np.array([0.25, None], dtype=object), 1))
+def test_every_real_reader_rejects_and_accepts_the_same_entries(case):
+    # Every reader of a float vector reads it through data._reals, as given: text is
+    # not parsed, and a flawed entry is named by position with one message form.
+    entries, at = case
+    read = read_reals(entries)
+    if at is None:
+        floats = np.asarray(entries, dtype=np.float64)
+        assert read == read_reals(floats)
+        assert read["value"] == read["confidence"] == read["cut"] == read["tau"] == floats.tolist()
+        return
+    flaw = entries[at]
+    rows = {"value": "object", "tau": "attribute 0", "score": "object", "confidence": "rule", "cut": "entry",
+            "cost": "solution"}
+    for name, row in rows.items():
+        index = "" if name == "tau" else f" {at}"
+        column = {"value": " for attribute 0", "tau": f" at position {at}"}.get(name, "")
+        message = f"{row}{index}: {name} {flaw!r}{column} is not a number"
+        if name == "cut":
+            message = f"attribute 0: cuts must be a sequence of numbers; {message}"
+        if name == "cost" and flaw is None:
+            message = "all solutions must be evaluated before the pheromone update"
+        assert read[name] == message
 
 
 def test_discretized_table_names_the_first_out_of_range_bin():

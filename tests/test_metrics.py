@@ -226,6 +226,13 @@ def test_roc_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^scores must be finite$"):
             roc([0.9, bad, 0.5, 0.2], [1, 0, 1, 0])
+    # scores are read as given: unchecked, text was parsed and 10**400 raised a bare OverflowError
+    with pytest.raises(ValueError, match=r"^object 0: score '0\.9' is not a number$"):
+        roc(["0.9", "0.1"], [1, 0])
+    with pytest.raises(ValueError, match=r"^object 1: score '0\.1' is not a number$"):
+        roc([0.9, "0.1"], [1, 0])
+    with pytest.raises(ValueError, match=f"^object 1: score {10**400} is not a number$"):
+        roc([0.9, 10**400], [1, 0])
 
 
 def test_roccurve_shape_validation():

@@ -131,6 +131,9 @@ def test_partition_reads_class_of_as_integers():
     for class_of, message in (([0.7], r"^object 0: class 0\.7 is not an integer$"),
                               (["1"], r"^object 0: class '1' is not an integer$"),
                               ([0, "1"], r"^object 1: class '1' is not an integer$"),
+                              # unchecked, membership raised IndexError and approximate numpy's bincount error
+                              ([5], r"^object 0: class 5 is not in \[0, 1\)$"),
+                              ([-1], r"^object 0: class -1 is not in \[0, 1\)$"),
                               (0.7, "^class_of must have one entry per object$"),
                               ([[0]], "^class_of must have one entry per object$")):
         with pytest.raises(ValueError, match=message):
