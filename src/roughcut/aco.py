@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import DecisionTable, SplitSpec, _frozen, _integer, split
+from .data import DecisionTable, SplitSpec, _frozen, _integer, _reals, split
 from .discretize import CutSet, _kept_cuts, apply_cuts, percentile_value_grid
 from .roughset import _majority, _row_keys, classify_table, induce_rules
 
@@ -77,9 +77,9 @@ class PheromoneModel:
     tau: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", _frozen(self.tau, np.float64))
-        if self.tau.ndim != 2 or self.tau.shape[1] != N_POSITIONS:
-            raise ValueError(f"tau must be (n_attributes, {N_POSITIONS})")
+        tau = _reals(self.tau, "tau", "attribute", (None, N_POSITIONS), f"tau must be (n_attributes, {N_POSITIONS})",
+                     " at position {}")
+        object.__setattr__(self, "tau", _frozen(tau, np.float64))
         if not ((self.tau > 0) & (self.tau < np.inf)).all():
             raise ValueError("tau must be finite and strictly positive")
 
@@ -277,7 +277,7 @@ def update_pheromones(
     if any(solution.cost is None for solution in solutions):
         raise ValueError("all solutions must be evaluated before the pheromone update")
     percentiles = np.array([s.percentiles for s in solutions], dtype=np.int64)
-    costs = np.array([s.cost for s in solutions], dtype=np.float64)
+    costs = _reals([s.cost for s in solutions], "cost", "solution", (None,), "each cost must be one number")
     shape = (len(solutions), model.n_attributes, -1 if solutions else 0)
     return _deposit(model, percentiles.reshape(shape), costs, params)
 

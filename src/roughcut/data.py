@@ -44,22 +44,34 @@ def _frozen(value, dtype) -> np.ndarray:
     return array
 
 
-def _labels(labels, n: int, name: str, row_name: str) -> np.ndarray:
-    """A read-only int64 copy of ``labels``, one 0 or 1 per ``row_name``, ``n`` in all.
+def _as_given(values, numeric: str, accepts, what: str, name: str, row_name: str, shape: tuple, shape_error: str,
+              column: str = " for attribute {}") -> np.ndarray:
+    """``values`` as given: an array of a dtype kind in ``numeric`` as it is, anything else as Python objects, so
+    "1.5" is not parsed and does not turn the entries beside it into text. ValueError ``shape_error`` unless the
+    shape is ``shape`` (None: any length), then naming the first entry the mask ``accepts(array)`` rejects."""
+    given = np.asarray(values)
+    if given.dtype.kind not in numeric:
+        given = np.asarray(values, dtype=object)
+    if given.ndim != len(shape) or any(size not in (None, got) for size, got in zip(shape, given.shape)):
+        raise ValueError(shape_error.format(given.shape))
+    ok = accepts(given)  # True for an array that needs no entry check
+    if ok is not True and not ok.all():
+        at = tuple(np.argwhere(~ok)[0].tolist())
+        where = column.format(at[1]) if given.ndim == 2 else ""
+        raise ValueError(f"{row_name} {at[0]}: {name} {given.item(at)!r}{where} is not {what}")
+    return given
 
-    The entries are checked as given, so 0.5 is rejected, not truncated to 0;
-    ValueError names the first entry that is not 0 or 1 by row and value.
-    """
-    given = np.asarray(labels)
-    if given.dtype.kind not in "biuf":  # as given, so [0, "1"] does not turn the 0 into text
-        given = np.asarray(labels, dtype=object)
-    if given.shape != (n,):
-        raise ValueError(f"{name} must have one entry per {row_name}")
-    bad = ~((given == 0) | (given == 1))
-    if bad.any():
-        at = int(bad.argmax())
-        raise ValueError(f"{row_name} {at}: {name} entry {given.item(at)!r} is not 0 or 1")
-    return _frozen(given, np.int64)
+
+def _entrywise(test):
+    """A mask of the entries ``test`` accepts in an array read as Python objects; a numeric one passes whole."""
+    return lambda given: given.dtype.kind != "O" or np.frompyfunc(test, 1, 1)(given).astype(bool)
+
+
+def _labels(labels, n: int, name: str, row_name: str) -> np.ndarray:
+    """A read-only int64 copy of ``labels``, one 0 or 1 per ``row_name``, ``n`` in all, read by ``_as_given``,
+    so 0.5 is rejected, not truncated to 0; ValueError names the first entry that is not 0 or 1."""
+    return _frozen(_as_given(labels, "biuf", lambda given: (given == 0) | (given == 1), "0 or 1", f"{name} entry",
+                             row_name, (n,), f"{name} must have one entry per {row_name}"), np.int64)
 
 
 def _is_integer(value) -> bool:
@@ -74,19 +86,28 @@ def _integer(value, field_name: str) -> int:
     raise ValueError(f"{field_name} {value!r} is not an integer")
 
 
-def _integers(values, name: str, row_name: str) -> np.ndarray:
-    """``values`` as an integer array: an integer dtype (bools too) as it is, anything else read as
-    Python objects, so "1" is not parsed; ValueError names the first entry that is not an integer."""
-    given = np.asarray(values)
-    if given.dtype.kind in "biu":
-        return given
-    given = np.asarray(values, dtype=object)
-    whole = np.frompyfunc(_is_integer, 1, 1)(given).astype(bool)
-    if not whole.all():
-        at = tuple(np.argwhere(~whole)[0].tolist())
-        attribute = f" for attribute {at[1]}" if given.ndim == 2 else ""
-        raise ValueError(f"{row_name} {at[0]}: {name} {given[at]!r}{attribute} is not an integer")
-    return np.frompyfunc(int, 1, 1)(given)
+def _integers(values, name: str, row_name: str, shape: tuple, shape_error: str) -> np.ndarray:
+    """``values`` of ``shape`` read by ``_as_given``: an integer dtype (bools too) as it is, the rest as Python ints."""
+    given = _as_given(values, "biu", _entrywise(_is_integer), "an integer", name, row_name, shape, shape_error)
+    return given if given.dtype.kind != "O" else np.frompyfunc(int, 1, 1)(given)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number a float can hold: text, complex and 10**400 are not."""
+    if not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _reals(values, name: str, row_name: str, shape: tuple, shape_error: str, column=" for attribute {}") -> np.ndarray:
+    """``values`` of ``shape`` read by ``_as_given`` as float64, a float64 array with no copy; ValueError names
+    the first entry that is not a number. Finiteness and range are the caller's to check."""
+    given = _as_given(values, "biuf", _entrywise(_is_real), "a number", name, row_name, shape, shape_error, column)
+    return np.asarray(given, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -106,9 +127,9 @@ class DecisionTable:
     n_dropped: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, np.float64))
-        if self.values.ndim != 2:
-            raise ValueError("values must be a 2-D array of shape (n_objects, n_attributes)")
+        values = _reals(self.values, "value", "object", (None, None),
+                        "values must be a 2-D array of shape (n_objects, n_attributes)")
+        object.__setattr__(self, "values", _frozen(values, np.float64))
         if self.values.shape[0] == 0:
             raise ValueError("a decision table needs at least one object")
         if self.values.shape[1] == 0:

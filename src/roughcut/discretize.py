@@ -8,13 +8,12 @@ upper bin, so bin(v) = number of cuts <= v.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DecisionTable, _frozen, _integer, _integers, _labels
+from .data import DecisionTable, _frozen, _integer, _integers, _labels, _reals
 
 
 @dataclass(frozen=True)
@@ -32,15 +31,10 @@ class CutSet:
         for a, cuts in enumerate(self.cuts_per_attribute):
             if isinstance(cuts, (str, bytes)) or not isinstance(cuts, Iterable):
                 raise ValueError(f"attribute {a}: cuts must be a sequence of numbers, not {type(cuts).__name__}")
-            cuts = tuple(cuts)
-            for i, c in enumerate(cuts):
-                if not isinstance(c, numbers.Real):
-                    raise ValueError(f"attribute {a}: cuts must be a sequence of numbers; entry {i} is {c!r}")
             try:
-                cuts = tuple(map(float, cuts))
-            except OverflowError:
-                raise ValueError(f"attribute {a}: cuts must be a sequence of numbers; "
-                                 "one is too large for a float") from None
+                cuts = tuple(_reals(tuple(cuts), "cut", "entry", (None,), "got shape {}").tolist())
+            except ValueError as error:
+                raise ValueError(f"attribute {a}: cuts must be a sequence of numbers; {error}") from None
             if any(map(math.isnan, cuts)) or not all(a_ < b for a_, b in zip(cuts, cuts[1:])):
                 raise ValueError(f"attribute {a}: cuts must be strictly ascending")
             normalized.append(cuts)
@@ -72,9 +66,8 @@ def _bin_matrix(bins, counts: tuple[int, ...], row_name: str) -> np.ndarray:
     (bools as uint8, uint64 as int64); the rest, read by ``_integers``, come back as int64.
     ValueError names the first bin that is not an integer in [0, count); bools and integral floats pass.
     """
-    if np.ndim(bins) != 2 or np.shape(bins)[1] != len(counts):
-        raise ValueError(f"expected {len(counts)} bins per {row_name}, got shape {np.shape(bins)}")
-    given = _integers(bins, "bin", row_name)
+    shape_error = f"expected {len(counts)} bins per {row_name}, got shape {{}}"
+    given = _integers(bins, "bin", row_name, (None, len(counts)), shape_error)
     if given.dtype.kind == "O":
         given = np.where((given >= 0) & (given < 2**63), given, -1).astype(np.int64)  # a bin past int64 reads as -1
     elif given.dtype.kind == "b":

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DecisionTable, _labels
+from .data import DecisionTable, _labels, _reals
 from .discretize import CutSet, apply_cuts
 from .roughset import RuleSet, classify_table, induce_rules
 
@@ -92,9 +92,7 @@ def accuracy(m: ConfusionMatrix) -> float:
 
 def roc(scores: Sequence[float], actuals: Sequence[int]) -> RocCurve:
     """Threshold sweep over distinct scores, descending; tied scores form one step."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError("scores must be 1-D")
+    scores = _reals(scores, "score", "object", (None,), "scores must be 1-D")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")  # argsort puts NaN last, as if lowest
     actuals = _labels(actuals, scores.size, "actuals", "object")

@@ -7,13 +7,12 @@ every attribute considered; each equivalence class becomes one if-then rule.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import _frozen, _integer, _integers, _labels
+from .data import _frozen, _integer, _integers, _labels, _reals
 from .discretize import DiscretizedTable, _bin_counts, _bin_matrix
 
 KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
@@ -31,9 +30,8 @@ class Partition:
     class_of: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.class_of) != 1:
-            raise ValueError("class_of must have one entry per object")
-        object.__setattr__(self, "class_of", _frozen(_integers(self.class_of, "class", "object"), np.int64))
+        class_of = _integers(self.class_of, "class", "object", (None,), "class_of must have one entry per object")
+        object.__setattr__(self, "class_of", _frozen(class_of, np.int64))
 
     @property
     def n_objects(self) -> int:
@@ -94,14 +92,9 @@ class RuleSet:
         object.__setattr__(self, "attribute_bin_counts", counts)
         object.__setattr__(self, "conditions", _frozen(_bin_matrix(self.conditions, counts, "rule"), np.int64))
         object.__setattr__(self, "decisions", _labels(self.decisions, self.conditions.shape[0], "decisions", "rule"))
-        if any(np.shape(a) != self.conditions.shape[:1] for a in (self.supports, self.confidences)):
-            raise ValueError("expected one condition row, support and confidence per rule")
-        supports, confidences = _integers(self.supports, "support", "rule"), np.asarray(self.confidences)
-        if confidences.dtype.kind not in "biuf":  # each as given: "0.5" is rejected, not parsed
-            for at, confidence in enumerate(np.asarray(self.confidences, dtype=object)):
-                if not isinstance(confidence, numbers.Real):
-                    raise ValueError(f"rule {at}: confidence {confidence!r} is not a number")
-        confidences = _frozen(confidences, np.float64)
+        shape, shape_error = self.conditions.shape[:1], "expected one condition row, support and confidence per rule"
+        supports = _integers(self.supports, "support", "rule", shape, shape_error)
+        confidences = _frozen(_reals(self.confidences, "confidence", "rule", shape, shape_error), np.float64)
         for name, values, allowed, ok in (
                 ("support", supports, ">= 1", supports >= 1),
                 ("support", supports, "< 2**63", supports <= 2**63 - 1),
