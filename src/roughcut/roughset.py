@@ -31,6 +31,10 @@ class Partition:
 
     def __post_init__(self):
         class_of = _integers(self.class_of, "class", "object", (None,), "class_of must have one entry per object")
+        outside = (class_of < 0) | (class_of >= len(self.classes))  # as read, so 2**63 is not wrapped first
+        if outside.any():
+            at = int(outside.argmax())
+            raise ValueError(f"object {at}: class {class_of[at]} is not in [0, {len(self.classes)})")
         object.__setattr__(self, "class_of", _frozen(class_of, np.int64))
 
     @property

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DecisionTable, _integer
+from .data import DecisionTable, _integer, _is_real
 
 GAS_NAMES = ("h2", "ch4", "c2h4", "c2h6", "c2h2", "co", "co2", "n2", "o2")
 FAULT_GASES = GAS_NAMES[:7]
@@ -71,10 +71,9 @@ def _number(payload, *path: str) -> float:
         if not isinstance(node, dict) or key not in node:
             raise ValueError(f"profile field {'.'.join(path[:depth + 1])} is missing")
         node = node[key]
-    try:
-        return float(node)
-    except (TypeError, ValueError):
-        raise ValueError(f"profile field {'.'.join(path)} is not a number: {node!r}") from None
+    if not _is_real(node):  # as given: "0.3" is not parsed
+        raise ValueError(f"profile field {'.'.join(path)} is not a number: {node!r}")
+    return float(node)
 
 
 def profile_from_json(payload: dict) -> GasProfile:

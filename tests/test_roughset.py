@@ -134,6 +134,7 @@ def test_partition_reads_class_of_as_integers():
                               # unchecked, membership raised IndexError and approximate numpy's bincount error
                               ([5], r"^object 0: class 5 is not in \[0, 1\)$"),
                               ([-1], r"^object 0: class -1 is not in \[0, 1\)$"),
+                              ([0, 2**63], r"^object 1: class 9223372036854775808 is not in \[0, 1\)$"),
                               (0.7, "^class_of must have one entry per object$"),
                               ([[0]], "^class_of must have one entry per object$")):
         with pytest.raises(ValueError, match=message):
