@@ -104,8 +104,8 @@ def _is_real(value) -> bool:
 
 
 def _reals(values, name: str, row_name: str, shape: tuple, shape_error: str, column=" for attribute {}") -> np.ndarray:
-    """``values`` of ``shape`` read by ``_as_given`` as float64, a float64 array with no copy; ValueError names
-    the first entry that is not a number. Finiteness and range are the caller's to check."""
+    """``values`` of ``shape`` read by ``_as_given`` and cast to float64 (a float64 array is returned as itself);
+    ValueError names the first entry that is not a number. Finiteness and range are the caller's to check."""
     given = _as_given(values, "biuf", _entrywise(_is_real), "a number", name, row_name, shape, shape_error, column)
     return np.asarray(given, dtype=np.float64)
 
