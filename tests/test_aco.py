@@ -373,6 +373,28 @@ def test_batched_costs_renumber_wide_keys():
     assert len(set(costs)) > 1
 
 
+def test_batched_costs_split_weighted_runs():
+    # 40 attributes at 2 cuts: 3**40 exceeds KEY_LIMIT, so the attributes are
+    # keyed in more than one run and the runs' keys are combined by _row_keys
+    rng = np.random.default_rng(540)
+    distinct = rng.choice([0.0, 1.0, 2.0, 3.0], p=[0.6, 0.1, 0.15, 0.15], size=(30, 40))
+    labels = (distinct[:, 0] + distinct[:, 39] >= 3).astype(np.int64)
+    rows = np.arange(150) % 30
+    decisions = np.where(rng.random(150) < 0.2, 1 - labels[rows], labels[rows])
+    fit = make_table(distinct[rows[:120]], decisions[:120])
+    validation = make_table(distinct[rows[120:]], decisions[120:])
+    # each ant cuts a few attributes, some ants in both runs; its other picks
+    # all land on the minimum
+    picks = [
+        [np.sort(rng.choice(np.arange(1, 100 if rng.random() < 0.15 else 41), 2,
+                            replace=False)).tolist() for _ in range(40)]
+        for _ in range(6)
+    ]
+    assert 3**40 > KEY_LIMIT
+    costs = assert_batched_costs_match(fit, validation, picks)
+    assert len(set(costs)) > 1
+
+
 @settings(deadline=None)
 @given(case=colony_cases(), seed=st.integers(0, 2**32 - 1))
 @example(case=edge_case(), seed=0)
@@ -564,6 +586,52 @@ def test_optimize_is_deterministic():
     assert best_a.percentiles == best_b.percentiles
     assert best_a.cost == best_b.cost
     assert history_a == history_b
+
+
+def straight_line_optimize(train, params):
+    """``optimize``'s loop one ant at a time: each ant draws its picks with
+    ``Generator.choice`` from ``default_rng((seed, iteration, ant))`` and is
+    costed by ``evaluate_solution`` on cuts kept as ``interior_cuts`` keeps them."""
+    fit, validation = split(train, SplitSpec(train_fraction=FIT_FRACTION, seed=params.seed))
+    grid = percentile_value_grid(train)
+    lo, hi = train.values.min(axis=0), train.values.max(axis=0)
+    model, best, history = initial_model(train.n_attributes), None, []
+    for iteration in range(params.num_iterations):
+        weights = model.tau ** params.alpha
+        solutions = []
+        for ant in range(params.num_ants):
+            gen = np.random.default_rng((params.seed, iteration, ant))
+            picks = []
+            for a in range(train.n_attributes):
+                chosen, prev = [], 0
+                for c in range(params.num_cuts):
+                    positions = np.arange(prev + 1, N_POSITIONS - (params.num_cuts - c - 1) + 1)
+                    w = weights[a, positions - 1]
+                    prev = int(gen.choice(positions, p=w / w.sum()))
+                    chosen.append(prev)
+                picks.append(tuple(chosen))
+            cuts = CutSet(tuple(interior_cuts([float(grid[a, p - 1]) for p in ps], float(lo[a]), float(hi[a]))
+                                for a, ps in enumerate(picks)))
+            solution = AntSolution(tuple(picks), cuts)
+            solution.cost = evaluate_solution(solution, fit, validation)
+            solutions.append(solution)
+            if best is None or solution.cost < best.cost:
+                best = solution
+        model = update_pheromones(model, solutions, params)
+        history.append(aco.IterationStats(iteration, best.cost, float(np.mean([s.cost for s in solutions]))))
+    return best, history
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_optimize_matches_the_straight_line_colony(seed):
+    # seeds of one, two and three 32-bit words, and 0, which numpy keys as one zero word
+    table = random_train_table(np.random.default_rng(538), n=60, m=2)
+    params = AcoParams(num_ants=5, num_iterations=3, num_cuts=3, seed=seed)
+    best, history = optimize(table, params)
+    want_best, want_history = straight_line_optimize(table, params)
+    assert best.percentiles == want_best.percentiles
+    assert best.cuts == want_best.cuts
+    assert history == want_history
 
 
 def test_optimize_realizes_cuts_only_for_a_new_best(monkeypatch):
