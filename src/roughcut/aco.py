@@ -7,22 +7,22 @@ probability proportional to its pheromone tau raised to alpha. Pheromone on
 (attribute, position) pairs decays every iteration and is reinforced in
 proportion to 1/cost.
 
-``optimize`` handles all ants of an iteration at once: ``_construct`` draws
-cut c for every (ant, attribute) pair in one array pass, with one masked
-``sum`` of the feasible weights. Its draws are ``Generator.choice``'s bit for
-bit because numpy's masked reduction sums each contiguous run of the mask
-from 0 in one pass, as ``w.sum()`` does. ``_RankedSplit`` costs every ant
-through per-ant rank -> bin lookup tables and one sort of decision-tagged
-cell keys, and ``_deposit`` adds every ant's pheromone with one
-``np.add.at``. Picks stay an int64 array; which of their values become cuts
-is ``discretize._kept_cuts``, the rule ``efb_cuts`` keeps its cuts by, and
-cut values are realized (``_RankedSplit.cuts``) only for a new best.
-``evaluate_solution`` is the same cost for one ant.
+``optimize`` handles all ants of an iteration at once. Each ant draws from
+its own stream, seeded with the uint32 words numpy derives from (seed,
+iteration, ant). ``_construct`` draws cut c for every (ant, attribute) pair
+in one array pass, with one masked ``sum`` of the feasible weights. Its draws
+are ``Generator.choice``'s bit for bit because numpy's masked reduction sums
+each contiguous run of the mask from 0 in one pass, as ``w.sum()`` does.
+``_RankedSplit`` costs every ant through weighted rank -> bin tables and a
+sort of each ant's decision-tagged cell keys, and ``_deposit`` adds every
+ant's pheromone with one ``np.add.at``. Picks stay an int64 array; which of
+their values become cuts is ``discretize._kept_cuts``, the rule ``efb_cuts``
+keeps its cuts by, and cut values are realized (``_RankedSplit.cuts``) only
+for a new best. ``evaluate_solution`` is the same cost for one ant.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import DecisionTable, SplitSpec, _frozen, _integer, _reals, split
 from .discretize import CutSet, _kept_cuts, apply_cuts, percentile_value_grid
-from .roughset import _majority, _row_keys, classify_table, induce_rules
+from .roughset import KEY_LIMIT, _majority, _row_keys, classify_table, induce_rules
 
 N_POSITIONS = 99  # candidate percentiles 1..99
 TAU_INIT = 1.0
@@ -138,22 +138,24 @@ def _construct(weights: np.ndarray, draws: np.ndarray) -> np.ndarray:
     proportional to the weights of the feasible positions. Later picks are
     restricted above earlier ones; the upper bound leaves room for the cuts
     still to come, so construction can never strand. Cut c is drawn for all
-    pairs at once. Returns the picked percentiles, int64, shaped like
-    ``draws``.
+    pairs at once. The first pick's feasible positions are every ant's, so
+    its distributions are built once per attribute. Returns the picked
+    percentiles, int64, shaped like ``draws``.
     """
     n_ants, n_attributes, k = draws.shape
     # row i: attribute i % n_attributes, row-major (tau is stored column-major), so
     # each row's feasible run is contiguous and sums as choice's w.sum() does
     rows = np.tile(np.ascontiguousarray(weights), (n_ants, 1))
     positions = np.arange(1, N_POSITIONS + 1)
-    picks = np.empty(draws.shape, dtype=np.int64).reshape(-1, k)
-    prev = np.zeros(len(picks), dtype=np.int64)
-    for c, u in enumerate(draws.reshape(-1, k).T):
-        # row i's feasible run starts at prev[i] + 1; the prev[i] entries before it count as <= u
-        feasible = (positions > prev[:, None]) & (positions <= N_POSITIONS - (k - c - 1))
-        prev = 1 + (_choice_cdf(rows, feasible) <= u[:, None]).sum(axis=1)
-        picks[:, c] = prev
-    return picks.reshape(draws.shape)
+    picks = np.empty(draws.shape, dtype=np.int64)
+    prev = np.zeros((n_attributes, 1), dtype=np.int64)  # before the first pick: one row per attribute
+    for c in range(k):
+        # a row's feasible run starts at prev + 1; the prev entries before it count as <= u
+        feasible = (positions > prev) & (positions <= N_POSITIONS - (k - c - 1))
+        cdf = _choice_cdf(rows[:len(prev)], feasible).reshape(-1, n_attributes, N_POSITIONS)
+        picks[..., c] = 1 + (cdf <= draws[..., c, None]).sum(axis=2)
+        prev = picks[..., c].reshape(-1, 1)
+    return picks
 
 
 def evaluate_solution(
@@ -207,44 +209,55 @@ class _RankedSplit:
     def costs(self, percentiles: np.ndarray) -> np.ndarray:
         """``evaluate_solution`` of every ant in one pass.
 
-        ``percentiles`` is (ants, n_attributes, num_cuts). Each (ant,
-        attribute) pair's bins are one ``take`` on the ranks from a uint8
-        rank -> bin table, the cumulated bincount of its kept percentiles.
-        Rows are keyed by the ``roughset`` cell key, ant first. Keys are below
-        KEY_LIMIT = 2**62, so ``key * 4 + code`` fits in uint64, and after one
-        sort of these decision-tagged keys each run of equal keys holds one
-        (cell, code) pair's rows. ``roughset._majority`` decides a cell d from its
-        fit counts, as in ``induce_rules``, ties (0-0 without fit rows, as in
-        ``classify_table``) going to the fit prior; its rows of code 3 - d are
-        wrong. The ant is the leading key digit, renumbering keeps the order of
-        keys, and every ant has one row per object, so ant i's rows are sorted
-        positions [i * rows, (i + 1) * rows): a cell's first row names its ant.
+        ``percentiles`` is (ants, n_attributes, num_cuts). An ant's bins on an
+        attribute are one ``take`` on the ranks from a rank -> bin table, the
+        cumulated bincount of its kept percentiles. The ``roughset`` cell key
+        is built in runs of attributes short enough that (num_cuts + 1) ** run
+        times the number of keys stays within KEY_LIMIT = 2**62: each table is
+        multiplied by its attribute's place value in the run, a run's column
+        is the sum of its takes, and ``_row_keys`` combines the columns, with
+        room to renumber them. Keys carry no ant, and each ant's
+        decision-tagged keys (``key * 4 + code`` fits in uint64) are sorted in
+        its own row, so each run of equal keys holds one (cell, code) pair's
+        rows once a run and a cell are also cut at every ant's first row.
+        ``roughset._majority`` decides a cell d from its fit counts, as in
+        ``induce_rules``, ties (0-0 without fit rows, as in ``classify_table``)
+        going to the fit prior; its rows of code 3 - d are wrong.
         """
         n_ants, n_attributes, k = percentiles.shape
-        _, kept = self._picked(percentiles)
-        # tables[a, i, r]: ant i's bin on attribute a for rank r, at most 99
-        pairs = np.arange(n_attributes) * n_ants + np.arange(n_ants)[:, None]
-        slots = (pairs[..., None] * (N_POSITIONS + 1) + percentiles)[kept]
-        tables = np.bincount(slots, minlength=pairs.size * (N_POSITIONS + 1))
-        tables = tables.reshape(n_attributes, n_ants, N_POSITIONS + 1).cumsum(axis=2, dtype=np.uint8)
-
         n_rows = self.ranks.shape[1]
-        ants = np.repeat(np.arange(n_ants, dtype=np.int64), n_rows)
-        bins = ((tables[a].take(self.ranks[a], axis=1).ravel(), k + 1) for a in range(n_attributes))
-        keys, _ = _row_keys(itertools.chain([(ants, n_ants)], bins))
-        keys = keys.view(np.uint64)
-        keys <<= 2
-        keys.reshape(n_ants, n_rows)[...] |= self.codes
-        keys.sort()
+        # the longest run whose weighted bins stay below KEY_LIMIT / (ants * rows)
+        run = next((r for r in range(n_attributes, 1, -1) if (k + 1) ** r * n_ants * n_rows <= KEY_LIMIT), 1)
+        runs = [range(start, min(start + run, n_attributes)) for start in range(0, n_attributes, run)]
+        _, kept = self._picked(percentiles)
+        # tables[a, r, i]: ant i's bin on attribute a for rank r, times a's weight in its run
+        slots = ((np.arange(n_attributes)[:, None] * (N_POSITIONS + 1) + percentiles) * n_ants
+                 + np.arange(n_ants)[:, None, None])[kept]
+        tables = np.bincount(slots, minlength=n_attributes * (N_POSITIONS + 1) * n_ants)
+        tables = tables.reshape(n_attributes, N_POSITIONS + 1, n_ants).cumsum(axis=1)
+        tables *= np.array([(k + 1) ** (r[-1] - a) for r in runs for a in r])[:, None, None]
+        # keys[j * n_ants + i]: object j's cell key under ant i's cuts
+        keys, _ = _row_keys((sum(tables[a].take(self.ranks[a], axis=0) for a in r).ravel(), (k + 1) ** len(r))
+                            for r in runs)
+        keys = np.left_shift(keys.view(np.uint64).reshape(n_rows, n_ants).T, 2, order="C")
+        keys |= self.codes
+        keys.sort(axis=1)
+        keys = keys.ravel()
 
-        # one run of equal tagged keys per (cell, code) pair that occurs
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        # one run of equal tagged keys per (cell, code) pair that occurs; each ant's
+        # block of sorted keys starts a run and a cell, so none crosses two ants
+        boundary = np.concatenate(([True], keys[1:] != keys[:-1]))
+        boundary[::n_rows] = True
+        starts = np.flatnonzero(boundary)
+        blocks = starts.searchsorted(np.arange(0, keys.size, n_rows))
         tagged = keys[starts]
         new_cell = np.concatenate(([True], tagged[1:] >> 2 != tagged[:-1] >> 2))
-        counts = np.zeros((new_cell.sum(), 4), dtype=np.int64)
-        counts[new_cell.cumsum() - 1, tagged & 3] = np.diff(starts, append=keys.size)
+        new_cell[blocks] = True
+        cell = new_cell.cumsum() - 1
+        counts = np.zeros((cell[-1] + 1, 4), dtype=np.int64)
+        counts[cell, tagged & 3] = np.diff(starts, append=keys.size)
         wrong = counts[np.arange(len(counts)), 3 - _majority(counts[:, 0], counts[:, 1], self.prior)]
-        return np.bincount(starts[new_cell] // n_rows, wrong, n_ants) / self.n_validation
+        return np.add.reduceat(wrong, cell[blocks]) / self.n_validation
 
 
 def _deposit(
@@ -312,9 +325,11 @@ def optimize(
     best: AntSolution | None = None
     history: list[IterationStats] = []
     shape = (params.num_ants, train.n_attributes, params.num_cuts)
+    # the seed's little-endian 32-bit words, as numpy reads the seed of (seed, iteration, ant)
+    seed_words = [params.seed >> shift & 0xFFFFFFFF for shift in range(0, max(params.seed.bit_length(), 1), 32)]
     for iteration in range(params.num_iterations):
         draws = np.stack([
-            np.random.default_rng((params.seed, iteration, ant)).random(shape[1] * shape[2])
+            np.random.default_rng(np.array([*seed_words, iteration, ant], dtype=np.uint32)).random(shape[1] * shape[2])
             for ant in range(params.num_ants)
         ]).reshape(shape)
         # a tau ** alpha that overflows fails _choice_cdf's check, not with a numpy warning
