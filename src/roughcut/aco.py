@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import DecisionTable, SplitSpec, _frozen, _integer, _reals, split
+from .data import DecisionTable, SplitSpec, _frozen, _integer, _real, _reals, split
 from .discretize import CutSet, _kept_cuts, apply_cuts, percentile_value_grid
 from .roughset import KEY_LIMIT, _majority, _row_keys, classify_table, induce_rules
 
@@ -54,6 +54,8 @@ class AcoParams:
     def __post_init__(self):
         for name in ("num_ants", "num_iterations", "num_cuts", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("alpha", "rho", "q_deposit"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.num_ants < 1:
             raise ValueError("num_ants must be positive")
         if self.num_iterations < 1:

@@ -103,6 +103,13 @@ def _is_real(value) -> bool:
     return True
 
 
+def _real(value, field_name: str) -> float:
+    """``value`` as a float; anything but a real number a float can hold raises ValueError naming the field."""
+    if _is_real(value):
+        return float(value)
+    raise ValueError(f"{field_name} {value!r} is not a number")
+
+
 def _reals(values, name: str, row_name: str, shape: tuple, shape_error: str, column=" for attribute {}") -> np.ndarray:
     """``values`` of ``shape`` read by ``_as_given`` and cast to float64 (a float64 array is returned as itself);
     ValueError names the first entry that is not a number. Finiteness and range are the caller's to check."""
@@ -183,6 +190,7 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "train_fraction", _real(self.train_fraction, "train_fraction"))
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))

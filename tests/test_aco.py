@@ -4,6 +4,7 @@ loop's determinism and convergence bookkeeping."""
 
 import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -575,6 +576,15 @@ def test_aco_params_validation():
     params = AcoParams(num_ants=2.0, num_iterations=np.int64(3), num_cuts=np.uint8(1), seed=4.0)
     counts = (params.num_ants, params.num_iterations, params.num_cuts, params.seed)
     assert counts == (2, 3, 1, 4) and all(type(count) is int for count in counts)
+    # unchecked, text and None raised a bare TypeError, and 10**400 was accepted
+    # until optimize raised OverflowError
+    for name in ("alpha", "rho", "q_deposit"):
+        for bad in ("0.5", None, 10**400, 1 + 0j):
+            with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(bad))} is not a number$"):
+                AcoParams(**{name: bad})
+    params = AcoParams(alpha=Fraction(1, 2), rho=np.float32(0.5), q_deposit=2)
+    reals = (params.alpha, params.rho, params.q_deposit)
+    assert reals == (0.5, 0.5, 2.0) and all(type(real) is float for real in reals)
 
 
 def test_optimize_is_deterministic():

@@ -216,6 +216,12 @@ def test_split_spec_validation():
             SplitSpec(train_fraction=0.7, seed=bad)
     spec = SplitSpec(train_fraction=0.5, seed=4.0)
     assert spec.seed == 4 and type(spec.seed) is int
+    # unchecked, text and None raised a bare TypeError
+    for bad in ("0.5", None, 10**400):
+        with pytest.raises(ValueError, match=f"^train_fraction {re.escape(repr(bad))} is not a number$"):
+            SplitSpec(train_fraction=bad, seed=0)
+    spec = SplitSpec(train_fraction=np.float32(0.5), seed=0)
+    assert spec.train_fraction == 0.5 and type(spec.train_fraction) is float
 
 
 def test_clip_outliers_winsorizes_extremes():
