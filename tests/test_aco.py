@@ -374,9 +374,12 @@ def test_batched_costs_renumber_wide_keys():
     assert len(set(costs)) > 1
 
 
-def test_batched_costs_split_weighted_runs():
-    # 40 attributes at 2 cuts: 3**40 exceeds KEY_LIMIT, so the attributes are
-    # keyed in more than one run and the runs' keys are combined by _row_keys
+@pytest.mark.parametrize("num_cuts", [2, 31])
+def test_batched_costs_split_weighted_runs(num_cuts):
+    # 40 attributes: (num_cuts + 1)**40 exceeds KEY_LIMIT, so the attributes
+    # are keyed in more than one run and the runs' keys are combined by
+    # _row_keys. At 31 cuts a run of 12 attributes alone reaches 2**60, so a
+    # run that long would leave no room to renumber the prefix before it.
     rng = np.random.default_rng(540)
     distinct = rng.choice([0.0, 1.0, 2.0, 3.0], p=[0.6, 0.1, 0.15, 0.15], size=(30, 40))
     labels = (distinct[:, 0] + distinct[:, 39] >= 3).astype(np.int64)
@@ -387,13 +390,22 @@ def test_batched_costs_split_weighted_runs():
     # each ant cuts a few attributes, some ants in both runs; its other picks
     # all land on the minimum
     picks = [
-        [np.sort(rng.choice(np.arange(1, 100 if rng.random() < 0.15 else 41), 2,
+        [np.sort(rng.choice(np.arange(1, 100 if rng.random() < 0.15 else 41), num_cuts,
                             replace=False)).tolist() for _ in range(40)]
         for _ in range(6)
     ]
-    assert 3**40 > KEY_LIMIT
+    assert (num_cuts + 1) ** 40 > KEY_LIMIT
     costs = assert_batched_costs_match(fit, validation, picks)
     assert len(set(costs)) > 1
+
+
+def test_batched_costs_keep_a_run_of_equal_keys_to_one_ant():
+    # the first ant keeps no cut, so its largest tagged key is cell 0's
+    # validation class-0 row; the second ant's cut puts the validation row,
+    # the smallest value, alone in cell 0, so its smallest tagged key is the
+    # same. The two equal keys meet at the ants' block edge.
+    fit, validation = make_table([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1]), make_table([0.0], [0])
+    assert assert_batched_costs_match(fit, validation, [((10,),), ((30,),)]) == [1.0, 1.0]
 
 
 @settings(deadline=None)
