@@ -218,10 +218,10 @@ class _RankedSplit:
         times the number of keys stays within KEY_LIMIT = 2**62: each table is
         multiplied by its attribute's place value in the run, a run's column
         is the sum of its takes, and ``_row_keys`` combines the columns, with
-        room to renumber them. Keys carry no ant, and each ant's
-        decision-tagged keys (``key * 4 + code`` fits in uint64) are sorted in
-        its own row, so each run of equal keys holds one (cell, code) pair's
-        rows once a run and a cell are also cut at every ant's first row.
+        room to renumber them. Keys carry no ant: each ant's decision-tagged
+        keys (``key * 4 + code`` fits in uint64) are sorted in its own row, and
+        a run and a cell are also cut at every ant's first row, so each run of
+        equal keys holds one (cell, code) pair's rows of one ant.
         ``roughset._majority`` decides a cell d from its fit counts, as in
         ``induce_rules``, ties (0-0 without fit rows, as in ``classify_table``)
         going to the fit prior; its rows of code 3 - d are wrong.
