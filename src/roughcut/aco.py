@@ -229,7 +229,8 @@ class _RankedSplit:
         n_ants, n_attributes, k = percentiles.shape
         n_rows = self.ranks.shape[1]
         # the longest run whose weighted bins stay below KEY_LIMIT / (ants * rows)
-        run = next((r for r in range(n_attributes, 1, -1) if (k + 1) ** r * n_ants * n_rows <= KEY_LIMIT), 1)
+        room = KEY_LIMIT // (n_ants * n_rows)
+        run = next(r for r in range(1, n_attributes + 1) if r == n_attributes or (k + 1) ** (r + 1) > room)
         runs = [range(start, min(start + run, n_attributes)) for start in range(0, n_attributes, run)]
         _, kept = self._picked(percentiles)
         # tables[a, r, i]: ant i's bin on attribute a for rank r, times a's weight in its run
@@ -241,8 +242,7 @@ class _RankedSplit:
         # keys[j * n_ants + i]: object j's cell key under ant i's cuts
         keys, _ = _row_keys((sum(tables[a].take(self.ranks[a], axis=0) for a in r).ravel(), (k + 1) ** len(r))
                             for r in runs)
-        keys = np.left_shift(keys.view(np.uint64).reshape(n_rows, n_ants).T, 2, order="C")
-        keys |= self.codes
+        keys = np.left_shift(keys.view(np.uint64).reshape(n_rows, n_ants).T, 2, order="C") | self.codes
         keys.sort(axis=1)
         keys = keys.ravel()
 
