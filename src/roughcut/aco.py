@@ -8,11 +8,14 @@ probability proportional to its pheromone tau raised to alpha. Pheromone on
 proportion to 1/cost.
 
 ``optimize`` handles all ants of an iteration at once. Each ant draws from
-its own stream, seeded with the uint32 words numpy derives from (seed,
-iteration, ant). ``_construct`` draws cut c for every (ant, attribute) pair
-in one array pass, with one masked ``sum`` of the feasible weights. Its draws
-are ``Generator.choice``'s bit for bit because numpy's masked reduction sums
-each contiguous run of the mask from 0 in one pass, as ``w.sum()`` does.
+its own stream, ``np.random.default_rng`` of the uint32 words numpy derives
+from (seed, iteration, ant). ``_uniforms`` computes up to ``_LANES`` of these
+streams in one pass of uint32/uint64 lane arithmetic, numpy's SeedSequence
+-> PCG64 -> ``Generator.random`` bit for bit. ``_construct`` draws cut c for
+every (ant, attribute) pair in one array pass, with one masked ``sum`` of the
+feasible weights. Its draws are ``Generator.choice``'s bit for bit because
+numpy's masked reduction sums each contiguous run of the mask from 0 in one
+pass, as ``w.sum()`` does.
 ``_RankedSplit`` costs every ant through weighted rank -> bin tables and a
 sort of each ant's decision-tagged cell keys, and ``_deposit`` adds every
 ant's pheromone with one ``np.add.at``. Picks stay an int64 array; which of
@@ -37,6 +40,13 @@ TAU_INIT = 1.0
 TAU_FLOOR = 1e-6
 COST_FLOOR = 1e-3  # deposit uses max(cost, COST_FLOOR) so 1/cost stays finite
 FIT_FRACTION = 0.8  # share of the training set used to fit rules; rest validates
+_LANES = 1024  # (iteration, ant) streams drawn in one lane pass; bounds its memory
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 multiplier, which _uniforms reproduces
+_POOL_SIZE = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,76 @@ class IterationStats:
 def initial_model(n_attributes: int) -> PheromoneModel:
     """Uniform pheromone."""
     return PheromoneModel(np.full((n_attributes, N_POSITIONS), TAU_INIT))
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hash of uint32 lanes; its constant, a Python int, advances by mult with every call."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _uniforms(entropy: np.ndarray, n: int) -> np.ndarray:
+    """``np.random.default_rng(column).random(n)`` for every column of ``entropy``, bit for bit.
+
+    ``entropy`` is (words, lanes) uint32; returns (lanes, n) float64. All lanes
+    run at once: SeedSequence mixes each lane's words into its 4-word pool and
+    ``generate_state(4, np.uint64)`` hashes the pool into PCG64's initial state
+    and increment, then PCG64's ``srandom`` and n XSL-RR steps give the
+    outputs x, each ``(x >> 11) * 2**-53`` as in ``Generator.random``. The
+    128-bit LCG state is held as uint64 halves, and the high half of the low
+    halves' product is built from 32-bit limbs.
+    """
+    u32, u64 = np.uint32, np.uint64
+    words, lanes = entropy.shape
+    # a word missing from the pool hashes as 0; words past it are mixed in after
+    entropy = np.concatenate([entropy.astype(u32), np.zeros((max(_POOL_SIZE - words, 0), lanes), u32)])
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ result >> u32(16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL_SIZE]).astype(u64) for i in range(2 * _POOL_SIZE)]
+    # little-endian word pairs: (high, low) of the initial state, then of the sequence
+    init_hi, init_lo, seq_hi, seq_lo = (low | high << u64(32) for low, high in zip(state[::2], state[1::2]))
+    inc_hi, inc_lo = seq_hi << u64(1) | seq_lo >> u64(63), seq_lo << u64(1) | u64(1)
+    mask, shift = u64(0xFFFFFFFF), u64(32)
+    m0, m1 = u64(_PCG_MULT_LO & 0xFFFFFFFF), u64(_PCG_MULT_LO >> 32)
+
+    def add(hi, lo, other_hi, other_lo):
+        lo = lo + other_lo
+        return hi + other_hi + (lo < other_lo), lo
+
+    def step(hi, lo):  # state * multiplier + increment, mod 2**128
+        l0, l1 = lo & mask, lo >> shift
+        p0, p1, p2 = l0 * m0, l0 * m1, l1 * m0
+        mid = (p0 >> shift) + (p1 & mask) + (p2 & mask)
+        carry = l1 * m1 + (p1 >> shift) + (p2 >> shift) + (mid >> shift)
+        return add(carry + hi * u64(_PCG_MULT_LO) + lo * u64(_PCG_MULT_HI), lo * u64(_PCG_MULT_LO), inc_hi, inc_lo)
+
+    # srandom: a step from state 0 (which leaves the increment), add the initial state, step
+    hi, lo = step(*add(inc_hi, inc_lo, init_hi, init_lo))
+    out = np.empty((lanes, n))
+    for i in range(n):
+        hi, lo = step(hi, lo)
+        x, rot = hi ^ lo, hi >> u64(58)
+        out[:, i] = (x >> rot | x << ((u64(64) - rot) & u64(63))) >> u64(11)
+    out *= 2.0**-53
+    return out
 
 
 def _choice_cdf(rows: np.ndarray, feasible: np.ndarray) -> np.ndarray:
@@ -329,11 +409,15 @@ def optimize(
     shape = (params.num_ants, train.n_attributes, params.num_cuts)
     # the seed's little-endian 32-bit words, as numpy reads the seed of (seed, iteration, ant)
     seed_words = [params.seed >> shift & 0xFFFFFFFF for shift in range(0, max(params.seed.bit_length(), 1), 32)]
+    block = max(1, _LANES // params.num_ants)  # iterations whose streams are drawn in one pass
     for iteration in range(params.num_iterations):
-        draws = np.stack([
-            np.random.default_rng(np.array([*seed_words, iteration, ant], dtype=np.uint32)).random(shape[1] * shape[2])
-            for ant in range(params.num_ants)
-        ]).reshape(shape)
+        if iteration % block == 0:
+            stop = min(iteration + block, params.num_iterations)
+            lanes = np.arange(iteration * params.num_ants, stop * params.num_ants)  # (iteration, ant) in order
+            entropy = np.array([*seed_words, 0, 0], dtype=np.uint32)[:, None].repeat(lanes.size, axis=1)
+            entropy[-2:] = np.divmod(lanes, params.num_ants)
+            streams = _uniforms(entropy, shape[1] * shape[2]).reshape(-1, *shape)
+        draws = streams[iteration % block]
         # a tau ** alpha that overflows fails _choice_cdf's check, not with a numpy warning
         with np.errstate(over="ignore"):
             percentiles = _construct(model.tau ** params.alpha, draws)

@@ -37,6 +37,8 @@ class CutSet:
                 raise ValueError(f"attribute {a}: cuts must be a sequence of numbers; {error}") from None
             if any(map(math.isnan, cuts)) or not all(a_ < b for a_, b in zip(cuts, cuts[1:])):
                 raise ValueError(f"attribute {a}: cuts must be strictly ascending")
+            if not all(map(math.isfinite, cuts)):
+                raise ValueError(f"attribute {a}: cuts must be finite")
             normalized.append(cuts)
         object.__setattr__(self, "cuts_per_attribute", tuple(normalized))
 

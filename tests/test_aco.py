@@ -40,6 +40,7 @@ from roughcut.aco import (
     _construct,
     _deposit,
     _RankedSplit,
+    _uniforms,
 )
 from roughcut.roughset import KEY_LIMIT
 from test_discretize import interior_cuts
@@ -651,6 +652,35 @@ def test_optimize_matches_the_straight_line_colony(seed):
     params = AcoParams(num_ants=5, num_iterations=3, num_cuts=3, seed=seed)
     best, history = optimize(table, params)
     want_best, want_history = straight_line_optimize(table, params)
+    assert best.percentiles == want_best.percentiles
+    assert best.cuts == want_best.cuts
+    assert history == want_history
+
+
+@pytest.mark.parametrize("n", [1, 18, 891])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 1])
+def test_uniforms_match_default_rng_bit_for_bit(seed, n):
+    # one to four seed words: with the iteration and ant, 3 to 6 entropy words,
+    # so the 5- and 6-word lanes mix words in past SeedSequence's 4-word pool
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    lanes = [divmod(lane, 3) for lane in range(4 * 3, 4 * 3 + 7)]  # 7 lanes of 3 ants from iteration 4
+    entropy = np.array([[*words, iteration, ant] for iteration, ant in lanes], dtype=np.uint32).T
+    got = _uniforms(entropy, n)
+    want = np.stack([np.random.default_rng(np.array([*words, iteration, ant], dtype=np.uint32)).random(n)
+                     for iteration, ant in lanes])
+    assert got.shape == (len(lanes), n)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("num_ants", [1, 2, 5])
+def test_optimize_does_not_depend_on_the_stream_block(monkeypatch, num_ants):
+    # 3 lanes: one ant draws three iterations per block (the last block short),
+    # two ants one iteration, and five ants one iteration wider than the lanes
+    table = random_train_table(np.random.default_rng(541), n=60, m=2)
+    params = AcoParams(num_ants=num_ants, num_iterations=7, num_cuts=3, seed=2**32 + 9)
+    want_best, want_history = optimize(table, params)
+    monkeypatch.setattr(aco, "_LANES", 3)
+    best, history = optimize(table, params)
     assert best.percentiles == want_best.percentiles
     assert best.cuts == want_best.cuts
     assert history == want_history

@@ -183,6 +183,13 @@ def test_cutset_validation_and_bin_counts():
             CutSet(((0.0,), bad))
     with pytest.raises(ValueError, match="ascending"):
         cuts_from_json(json.loads('{"a": [NaN]}'), ("a",))
+    # an infinite cut lies inside no attribute's (min, max)
+    for bad in ((1.0, math.inf), (-math.inf,), (-math.inf, 0.0, math.inf)):
+        with pytest.raises(ValueError, match="^attribute 0: cuts must be finite$"):
+            CutSet((bad,))
+    for payload in ('{"a": [Infinity]}', '{"a": [0.0, Infinity]}', '{"a": [-Infinity, 1.0]}'):
+        with pytest.raises(ValueError, match="^attribute 0: cuts must be finite$"):
+            cuts_from_json(json.loads(payload), ("a",))
     # a string is iterable: unchecked, "12" reads as the cuts (1.0, 2.0)
     for bad in ("12", b"12"):
         with pytest.raises(ValueError, match="sequence of numbers"):
