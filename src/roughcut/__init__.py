@@ -1,119 +1,15 @@
 """Rough-set rule induction over discretized gas data, with equal frequency
 binning or an ant-colony search for the cut points."""
 
-from .aco import (
-    AcoParams,
-    AntSolution,
-    IterationStats,
-    PheromoneModel,
-    evaluate_solution,
-    initial_model,
-    optimize,
-    update_pheromones,
-    write_history_csv,
-)
-from .data import DecisionTable, SplitSpec, clip_outliers, load_csv, split, write_csv
-from .discretize import (
-    CutSet,
-    DiscretizedTable,
-    apply_cuts,
-    cuts_from_json,
-    cuts_to_json,
-    efb_cuts,
-    percentile_to_cut,
-    percentile_value_grid,
-)
-from .metrics import (
-    ConfusionMatrix,
-    EvaluationReport,
-    RocCurve,
-    accuracy,
-    auc,
-    confusion,
-    evaluate_pipeline,
-    report_to_json,
-    roc,
-    roc_to_csv,
-)
-from .roughset import (
-    Approximation,
-    Partition,
-    Rule,
-    RuleSet,
-    approximate,
-    classify_table,
-    induce_rules,
-    membership,
-    partition,
-    ruleset_from_json,
-    ruleset_to_json,
-)
-from .synth import (
-    FAULT_GASES,
-    GAS_NAMES,
-    GasDistribution,
-    GasProfile,
-    default_profile,
-    generate,
-    load_profile,
-    profile_from_json,
-    profile_to_json,
-)
+from . import aco, data, discretize, metrics, roughset, synth
+from .aco import *
+from .data import *
+from .discretize import *
+from .metrics import *
+from .roughset import *
+from .synth import *
 
-__all__ = [
-    "AcoParams",
-    "AntSolution",
-    "Approximation",
-    "ConfusionMatrix",
-    "CutSet",
-    "DecisionTable",
-    "DiscretizedTable",
-    "EvaluationReport",
-    "FAULT_GASES",
-    "GAS_NAMES",
-    "GasDistribution",
-    "GasProfile",
-    "IterationStats",
-    "Partition",
-    "PheromoneModel",
-    "RocCurve",
-    "Rule",
-    "RuleSet",
-    "SplitSpec",
-    "accuracy",
-    "apply_cuts",
-    "approximate",
-    "auc",
-    "classify_table",
-    "clip_outliers",
-    "confusion",
-    "cuts_from_json",
-    "cuts_to_json",
-    "default_profile",
-    "efb_cuts",
-    "evaluate_pipeline",
-    "evaluate_solution",
-    "generate",
-    "induce_rules",
-    "initial_model",
-    "load_csv",
-    "load_profile",
-    "membership",
-    "optimize",
-    "partition",
-    "percentile_to_cut",
-    "percentile_value_grid",
-    "profile_from_json",
-    "profile_to_json",
-    "report_to_json",
-    "roc",
-    "roc_to_csv",
-    "ruleset_from_json",
-    "ruleset_to_json",
-    "split",
-    "update_pheromones",
-    "write_csv",
-    "write_history_csv",
-]
+# each public name is declared once, in the __all__ of the module that defines it
+__all__ = sorted(name for module in (aco, data, discretize, metrics, roughset, synth) for name in module.__all__)
 
 __version__ = "0.1.0"

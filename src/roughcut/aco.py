@@ -31,9 +31,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import DecisionTable, SplitSpec, _frozen, _integer, _real, _reals, split
+from .data import DecisionTable, SplitSpec, _ArrayFields, _frozen, _integer, _real, _reals, split
 from .discretize import CutSet, _kept_cuts, apply_cuts, percentile_value_grid
 from .roughset import KEY_LIMIT, _majority, _row_keys, classify_table, induce_rules
+
+__all__ = [
+    "AcoParams",
+    "AntSolution",
+    "IterationStats",
+    "PheromoneModel",
+    "evaluate_solution",
+    "initial_model",
+    "optimize",
+    "update_pheromones",
+    "write_history_csv",
+]
 
 N_POSITIONS = 99  # candidate percentiles 1..99
 TAU_INIT = 1.0
@@ -82,8 +94,8 @@ class AcoParams:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class PheromoneModel:
+@dataclass(frozen=True, eq=False)
+class PheromoneModel(_ArrayFields):
     """Pheromone (tau) per attribute and position."""
 
     tau: np.ndarray

@@ -11,10 +11,19 @@ import csv
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+
+__all__ = [
+    "DecisionTable",
+    "SplitSpec",
+    "clip_outliers",
+    "load_csv",
+    "split",
+    "write_csv",
+]
 
 LABEL_COLUMN = "label"
 
@@ -44,13 +53,27 @@ def _frozen(value, dtype) -> np.ndarray:
     return array
 
 
+class _ArrayFields:
+    """Base of the frozen dataclasses that hold arrays: two values of one type are equal when every
+    ``compare=True`` field is, by ``np.array_equal``; other types compare unequal. Defining ``__eq__``
+    without ``__hash__`` leaves the base, and so each subclass, unhashable."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+
+
 def _as_given(values, numeric: str, accepts, what: str, name: str, row_name: str, shape: tuple, shape_error: str,
               column: str = " for attribute {}") -> np.ndarray:
     """``values`` as given: an array of a dtype kind in ``numeric`` as it is, anything else as Python objects, so
     "1.5" is not parsed and does not turn the entries beside it into text. ValueError ``shape_error`` unless the
     shape is ``shape`` (None: any length), then naming the first entry the mask ``accepts(array)`` rejects."""
-    given = np.asarray(values)
-    if given.dtype.kind not in numeric:
+    try:
+        given = np.asarray(values)
+    except ValueError:  # a ragged nesting, such as [1.0, [2.0]]: numpy makes an array of it only as objects
+        given = None
+    if given is None or given.dtype.kind not in numeric:
         given = np.asarray(values, dtype=object)
     if given.ndim != len(shape) or any(size not in (None, got) for size, got in zip(shape, given.shape)):
         raise ValueError(shape_error.format(given.shape))
@@ -67,9 +90,9 @@ def _entrywise(test):
     return lambda given: given.dtype.kind != "O" or np.frompyfunc(test, 1, 1)(given).astype(bool)
 
 
-def _labels(labels, n: int, name: str, row_name: str) -> np.ndarray:
-    """A read-only int64 copy of ``labels``, one 0 or 1 per ``row_name``, ``n`` in all, read by ``_as_given``,
-    so 0.5 is rejected, not truncated to 0; ValueError names the first entry that is not 0 or 1."""
+def _labels(labels, n: int | None, name: str, row_name: str) -> np.ndarray:
+    """A read-only int64 copy of ``labels``, one 0 or 1 per ``row_name``, ``n`` in all (None: any number), read
+    by ``_as_given``, so 0.5 is rejected, not truncated to 0; ValueError names the first entry that is not 0 or 1."""
     return _frozen(_as_given(labels, "biuf", lambda given: (given == 0) | (given == 1), "0 or 1", f"{name} entry",
                              row_name, (n,), f"{name} must have one entry per {row_name}"), np.int64)
 
@@ -117,8 +140,8 @@ def _reals(values, name: str, row_name: str, shape: tuple, shape_error: str, col
     return np.asarray(given, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class DecisionTable:
+@dataclass(frozen=True, eq=False)
+class DecisionTable(_ArrayFields):
     """Immutable table of objects x condition attributes plus a binary decision.
 
     ``values`` is (n_objects, n_attributes) float64, ``decisions`` is
@@ -171,15 +194,6 @@ class DecisionTable:
         """Return (count of decision 0, count of decision 1)."""
         ones = int(self.decisions.sum())
         return self.n_objects - ones, ones
-
-    def __eq__(self, other):
-        if not isinstance(other, DecisionTable):
-            return NotImplemented
-        return (
-            self.attribute_names == other.attribute_names
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.decisions, other.decisions)
-        )
 
 
 @dataclass(frozen=True)
@@ -282,16 +296,19 @@ def write_csv(table: DecisionTable, path: str | Path) -> None:
 def split(table: DecisionTable, spec: SplitSpec) -> tuple[DecisionTable, DecisionTable]:
     """Shuffle and split a table into (train, test), deterministically per seed.
 
-    Train size is round(train_fraction * n). Re-shuffles up to
-    MAX_SPLIT_RETRIES times if either side would end up single-class.
+    Train size is round(train_fraction * n). Each side needs at least 2
+    objects to hold both classes; re-shuffles up to MAX_SPLIT_RETRIES times
+    if either side would end up single-class.
     """
     counts = table.class_counts()
     if min(counts) < 2:
         raise ValueError("split requires at least 2 objects of each decision class")
     n = table.n_objects
     n_train = int(round(spec.train_fraction * n))
-    if n_train < 1 or n_train > n - 1:
-        raise ValueError(f"train_fraction {spec.train_fraction} leaves an empty partition")
+    size, side = min((n_train, "train"), (n - n_train, "test"))
+    if size < 2:
+        raise ValueError(f"train_fraction {spec.train_fraction} leaves {size} of {n} objects on the {side} side, "
+                         f"which needs at least 2 to hold both classes")
 
     rng = np.random.default_rng(spec.seed)
     for _ in range(MAX_SPLIT_RETRIES):

@@ -13,7 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DecisionTable, _frozen, _integer, _integers, _labels, _reals
+from .data import DecisionTable, _ArrayFields, _frozen, _integer, _integers, _labels, _reals
+
+__all__ = [
+    "CutSet",
+    "DiscretizedTable",
+    "apply_cuts",
+    "cuts_from_json",
+    "cuts_to_json",
+    "efb_cuts",
+    "percentile_to_cut",
+    "percentile_value_grid",
+]
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,8 @@ def _bin_matrix(bins, counts: tuple[int, ...], row_name: str) -> np.ndarray:
     return given if np.can_cast(given.dtype, np.int64) else given.astype(np.int64)  # uint64, in range
 
 
-@dataclass(frozen=True)
-class DiscretizedTable:
+@dataclass(frozen=True, eq=False)
+class DiscretizedTable(_ArrayFields):
     """Bin indices per object plus the decision column, after applying a CutSet."""
 
     bins: np.ndarray

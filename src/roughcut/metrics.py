@@ -14,6 +14,19 @@ from .data import DecisionTable, _labels, _reals
 from .discretize import CutSet, apply_cuts
 from .roughset import RuleSet, classify_table, induce_rules
 
+__all__ = [
+    "ConfusionMatrix",
+    "EvaluationReport",
+    "RocCurve",
+    "accuracy",
+    "auc",
+    "confusion",
+    "evaluate_pipeline",
+    "report_to_json",
+    "roc",
+    "roc_to_csv",
+]
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -71,7 +84,7 @@ class EvaluationReport:
 
 def confusion(predictions: Sequence[int], actuals: Sequence[int]) -> ConfusionMatrix:
     """Tally tp/tn/fp/fn with class 1 (faulty) as positive."""
-    predictions = _labels(predictions, np.size(predictions), "predictions", "object")
+    predictions = _labels(predictions, None, "predictions", "object")
     actuals = _labels(actuals, predictions.size, "actuals", "object")
     if predictions.size == 0:
         raise ValueError("nothing to tally")

@@ -12,14 +12,28 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import _frozen, _integer, _integers, _labels, _reals
+from .data import _ArrayFields, _frozen, _integer, _integers, _labels, _reals
 from .discretize import DiscretizedTable, _bin_counts, _bin_matrix
+
+__all__ = [
+    "Approximation",
+    "Partition",
+    "Rule",
+    "RuleSet",
+    "approximate",
+    "classify_table",
+    "induce_rules",
+    "membership",
+    "partition",
+    "ruleset_from_json",
+    "ruleset_to_json",
+]
 
 KEY_LIMIT = 2**62  # cell keys are renumbered before their radix would pass this
 
 
-@dataclass(frozen=True)
-class Partition:
+@dataclass(frozen=True, eq=False)
+class Partition(_ArrayFields):
     """Equivalence classes of the indiscernibility relation.
 
     Classes are ordered by the first object index they contain; ``class_of``
@@ -73,7 +87,7 @@ class Rule:
 
 
 @dataclass(frozen=True, eq=False)
-class RuleSet:
+class RuleSet(_ArrayFields):
     """All rules induced from a training table plus a majority-class fallback.
 
     Rule i is row i of the table: bin ``conditions[i, a]`` on attribute a
@@ -87,9 +101,9 @@ class RuleSet:
     confidences: np.ndarray
     default_decision: int
     attribute_bin_counts: tuple[int, ...]
-    _keys: np.ndarray = field(init=False, repr=False)
-    _positions: np.ndarray = field(init=False, repr=False)
-    _renumbered: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
+    _positions: np.ndarray = field(init=False, repr=False, compare=False)
+    _renumbered: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = _bin_counts(self.attribute_bin_counts)

@@ -19,6 +19,18 @@ import numpy as np
 
 from .data import DecisionTable, _integer, _is_real
 
+__all__ = [
+    "FAULT_GASES",
+    "GAS_NAMES",
+    "GasDistribution",
+    "GasProfile",
+    "default_profile",
+    "generate",
+    "load_profile",
+    "profile_from_json",
+    "profile_to_json",
+]
+
 GAS_NAMES = ("h2", "ch4", "c2h4", "c2h6", "c2h2", "co", "co2", "n2", "o2")
 FAULT_GASES = GAS_NAMES[:7]
 MIN_OBJECTS = 10

@@ -256,6 +256,18 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, taken", [(["run", "--discretizer", "efb"], "cuts.json"),
+                                            (["compare"], "compare.txt")])
+def test_outputs_written_before_a_failing_one_are_removed(tmp_path, capsys, command, taken):
+    # a directory holds the name of a later output, so the outputs written before it are removed
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert main([*command, "--synth-n", "300", "--iters", "2", "--out", str(out)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("iteration ")]
+    assert len(errors) == 1 and errors[0].startswith("error: ") and taken in errors[0]
+    assert [path.name for path in out.iterdir()] == [taken]
+
+
 def test_run_efb_still_checks_the_colony_flags(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(run_args(out, extra=["--ants", "0"])) == 1

@@ -144,6 +144,11 @@ def test_decision_table_validation():
         DecisionTable(("a", "b"), [[1.0, 2.0], [3.0, "2.5"]], [0, 1])
     with pytest.raises(ValueError, match=re.escape(f"object 1: value {10**400} for attribute 0 is not a number")):
         DecisionTable(("a",), [[1.0], [10**400]], [0, 1])
+    # ragged rows are read as Python objects: unchecked, numpy's inhomogeneous-shape text was raised
+    with pytest.raises(ValueError, match=r"^values must be a 2-D array of shape \(n_objects, n_attributes\)$"):
+        DecisionTable(("a", "b"), [[1.0, 2.0], [3.0]], [0, 1])
+    with pytest.raises(ValueError, match=r"^object 1: value \[4\.0\] for attribute 1 is not a number$"):
+        DecisionTable(("a", "b"), [[1.0, 2.0], [3.0, [4.0]]], [0, 1])
 
 
 def test_decision_table_is_immutable():
@@ -201,6 +206,27 @@ def test_split_rejects_scarce_classes():
     table = make_table([[1.0], [2.0], [3.0]], [0, 1, 1])
     with pytest.raises(ValueError, match="at least 2 objects"):
         split(table, SplitSpec(train_fraction=0.5, seed=0))
+
+
+@pytest.mark.parametrize("fraction, side, size", [(0.01, "train", 0), (0.1, "train", 1), (0.9, "test", 1),
+                                                  (0.99, "test", 0)])
+def test_split_rejects_a_side_too_small_for_both_classes(fraction, side, size):
+    # unchecked, a side of 1 object was reshuffled MAX_SPLIT_RETRIES times before split gave up
+    table = make_table(np.arange(10.0)[:, None], [0, 1] * 5)
+    message = f"train_fraction {fraction} leaves {size} of 10 objects on the {side} side, which needs at least 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} to hold both classes$"):
+        split(table, SplitSpec(train_fraction=fraction, seed=0))
+    train, test = split(table, SplitSpec(train_fraction=0.2, seed=0))
+    assert (train.n_objects, test.n_objects) == (2, 8)
+
+
+def test_split_gives_up_after_its_retries():
+    # 2 train objects of 100,000, 2 of them faulty: about one shuffle in 25,000 puts exactly one
+    # faulty object on the train side, so all MAX_SPLIT_RETRIES shuffles leave it single-class
+    table = make_table(np.zeros((100_000, 1)), [1, 1] + [0] * 99_998)
+    message = f"^could not produce a two-class split in {data.MAX_SPLIT_RETRIES} attempts$"
+    with pytest.raises(ValueError, match=message):
+        split(table, SplitSpec(train_fraction=2e-5, seed=0))
 
 
 def test_split_spec_validation():

@@ -200,6 +200,12 @@ def test_cutset_validation_and_bin_counts():
     for payload in ('{"a": 5}', '{"a": [null]}', '{"a": [[1.0]]}', '{"a": [1' + '0' * 400 + ']}'):
         with pytest.raises(ValueError, match="^attribute 0: cuts must be a sequence of numbers"):
             cuts_from_json(json.loads(payload), ("a",))
+    # a ragged list is read as Python objects: unchecked, numpy's inhomogeneous-shape text was raised
+    message = r"^attribute 0: cuts must be a sequence of numbers; entry 1: cut \[2\.0\] is not a number$"
+    with pytest.raises(ValueError, match=message):
+        CutSet(((1.0, [2.0]),))
+    with pytest.raises(ValueError, match=message):
+        cuts_from_json({"a": [1.0, [2.0]]}, ("a",))
     cuts = CutSet(((1.0, 2.0), (5.0,), ()))
     assert cuts.n_attributes == 3
     assert cuts.bin_counts() == (3, 2, 1)
@@ -213,6 +219,8 @@ def test_cuts_json_roundtrip():
     assert cuts_from_json(payload, names) == cuts
     with pytest.raises(ValueError, match="missing"):
         cuts_from_json({"x": []}, names)
+    with pytest.raises(ValueError, match="^attribute name count does not match cut set$"):
+        cuts_to_json(cuts, names[:2])
 
 
 def test_discretized_table_validation():
@@ -247,7 +255,8 @@ def test_every_label_check_rejects_and_accepts_the_same_labels():
     }
     # a plain list that mixes numbers and text is read as given, not turned into text first
     for labels in (np.array([0, 2]), np.array([0, -1]), np.array([0, 0.5]), np.array([0, np.nan]),
-                   np.array([0, "1"], dtype=object), np.array([0, None], dtype=object), [0, "1"], [0, None]):
+                   np.array([0, "1"], dtype=object), np.array([0, None], dtype=object), [0, "1"], [0, None],
+                   [0, [1]]):
         label = np.asarray(labels, dtype=object)[1]
         for name, builds in readers.items():
             for build in builds:
@@ -306,8 +315,9 @@ def read_reals(entries):
 @st.composite
 def real_vectors(draw):
     """Distinct ascending numbers in (0, 1] in a numeric array, an object array or a plain list,
-    and, unless the form is numeric, one entry replaced by a flaw: text, None, a complex or an
-    integer too large for a float. Returns the entries and the flaw's position (None if unflawed)."""
+    and, unless the form is numeric, one entry replaced by a flaw: text, None, a complex, an
+    integer too large for a float or a nested list, which makes a plain list ragged. Returns
+    the entries and the flaw's position (None if unflawed)."""
     entries = [k / 1000 for k in sorted(draw(st.sets(st.integers(1, 1000), min_size=2, max_size=8)))]
     form = draw(st.sampled_from(["float64", "float32", "object", "list", "mixed"]))
     if form == "mixed":  # numbers that are not floats: ints, Fractions and numpy scalars
@@ -316,7 +326,7 @@ def real_vectors(draw):
     at = None
     if form in ("object", "list", "mixed") and draw(st.booleans()):
         at = draw(st.integers(0, len(entries) - 1))
-        entries[at] = draw(st.sampled_from(["1.5", None, "", 1 + 0j, 10**400]))
+        entries[at] = draw(st.sampled_from(["1.5", None, "", 1 + 0j, 10**400, [0.5]]))
     if form in ("float64", "float32", "object"):
         entries = np.array(entries, dtype=form)
     return entries, at
@@ -327,6 +337,7 @@ def real_vectors(draw):
 @example(case=(["0.9", "0.1"], 0))
 @example(case=([0.5, 10**400], 1))
 @example(case=(np.array([0.25, None], dtype=object), 1))
+@example(case=([0.25, [0.5]], 1))
 def test_every_real_reader_rejects_and_accepts_the_same_entries(case):
     # Every reader of a float vector reads it through data._reals, as given: text is
     # not parsed, and a flawed entry is named by position with one message form.

@@ -1,9 +1,14 @@
-"""Every table type stores its own read-only copy of the arrays it is given.
+"""Every table type stores its own read-only copy of the arrays it is given,
+and compares by value.
 
 Each case builds one type from a writable array of a field's own dtype.
 Mutating that array afterwards must leave the stored field as it was and
-the array writable, and writing to the stored field must raise.
+the array writable, and writing to the stored field must raise. Two values
+of one type are equal when each compared field is, entry by entry, and no
+value of these types is hashable.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -47,3 +52,45 @@ def test_constructor_stores_a_read_only_copy(case):
     assert np.array_equal(stored, expected)
     with pytest.raises(ValueError):
         stored[...] = expected
+
+
+# Each type's fields, then one other valid value for every field it compares.
+EQUALITY_CASES = {
+    "DecisionTable": (
+        DecisionTable, {"attribute_names": ("a", "b"), "values": [[1.5, 2.0], [3.0, 4.0]], "decisions": [0, 1]},
+        {"attribute_names": ("a", "c"), "values": [[1.5, 2.0], [3.0, 4.5]], "decisions": [1, 1]}),
+    "DiscretizedTable": (
+        DiscretizedTable, {"bins": [[0, 1], [2, 0]], "decisions": [0, 1], "attribute_bin_counts": (3, 2)},
+        {"bins": [[0, 1], [1, 0]], "decisions": [0, 0], "attribute_bin_counts": (4, 2)}),
+    "RuleSet": (
+        RuleSet, {**RULE_FIELDS, "default_decision": 1, "attribute_bin_counts": (3, 2)},
+        {"conditions": [[0, 1], [1, 0]], "decisions": [1, 1], "supports": [4, 2], "confidences": [0.75, 0.5],
+         "default_decision": 0, "attribute_bin_counts": (3, 3)}),
+    "Partition": (
+        Partition, {"classes": (frozenset({0, 2}), frozenset({1})), "class_of": [0, 1, 0]},
+        {"classes": (frozenset({0}), frozenset({1, 2})), "class_of": [0, 1, 1]}),
+    "PheromoneModel": (
+        PheromoneModel, {"tau": np.ones((2, 99))}, {"tau": np.ones((2, 99)) + np.eye(2, 99)}),
+}
+
+
+@pytest.mark.parametrize("case", EQUALITY_CASES)
+def test_equal_by_value_and_unhashable(case):
+    build, given, changes = EQUALITY_CASES[case]
+    value = build(**given)
+    assert value == build(**given) and not value != build(**given)
+    assert set(changes) == {f.name for f in dataclasses.fields(value) if f.compare}
+    for name, changed in changes.items():
+        other = build(**{**given, name: changed})
+        assert value != other and not value == other, name
+    # any other type, the other four types among them, compares unequal
+    for other in [None, 1, given] + [make(**fields) for make, fields, _ in EQUALITY_CASES.values()]:
+        if type(other) is not type(value):
+            assert value != other and value.__eq__(other) is NotImplemented
+    with pytest.raises(TypeError, match=f"^unhashable type: '{case}'$"):
+        hash(value)
+
+
+def test_decision_table_equality_ignores_n_dropped():
+    table = DecisionTable(("a",), [[1.0], [2.0]], [0, 1])
+    assert table == DecisionTable(("a",), [[1.0], [2.0]], [0, 1], n_dropped=3)

@@ -128,6 +128,8 @@ def test_accuracy_spot_values():
     )
     assert accuracy(ConfusionMatrix(tp=1, tn=1, fp=0, fn=0)) == 1.0
     assert accuracy(ConfusionMatrix(tp=0, tn=0, fp=3, fn=7)) == 0.0
+    with pytest.raises(ValueError, match="^empty confusion matrix$"):
+        accuracy(ConfusionMatrix(tp=0, tn=0, fp=0, fn=0))
 
 
 def test_roc_perfect_separation():

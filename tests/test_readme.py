@@ -36,6 +36,17 @@ def test_readme_lower_level_names_are_exported():
     assert len(set(roughcut.__all__)) == len(roughcut.__all__)
 
 
+def test_each_public_name_is_declared_once_by_its_module():
+    modules = [roughcut.aco, roughcut.data, roughcut.discretize, roughcut.metrics, roughcut.roughset,
+               roughcut.synth]
+    declared = [name for module in modules for name in module.__all__]
+    assert sorted(declared) == roughcut.__all__
+    assert len(set(declared)) == len(declared)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(roughcut, name) is getattr(module, name), name
+
+
 def test_readme_command_line_examples_run(tmp_path, monkeypatch):
     text = README.read_text(encoding="utf-8")
     for names in OUTPUT_FILES.values():

@@ -499,6 +499,8 @@ def test_ruleset_from_json_rejects_malformed_rules():
         ({"support": float("nan")}, "rule 1: support nan is not an integer"),
         ({"conditions": {"0": 0.9, "1": 0}}, "rule 1: bin 0.9 for attribute 0 is not an integer"),
         ({"conditions": {"0": 2, "1": "0"}}, "rule 1: bin '0' for attribute 1 is not an integer"),
+        # a ragged bin row: unchecked, numpy's inhomogeneous-shape text was raised
+        ({"conditions": {"0": 2, "1": [1]}}, r"rule 1: bin \[1\] for attribute 1 is not an integer"),
         # a confidence is not parsed from text, nor a None passed to float()
         ({"confidence": "1.0"}, "rule 1: certain flag disagrees with confidence '1.0'"),
         ({"confidence": "0.5", "certain": False}, "rule 1: confidence '0.5' is not a number"),
@@ -552,6 +554,7 @@ def test_ruleset_json_roundtrip():
         table = random_instance(rng)
     rules = induce_rules(table)
     rebuilt = ruleset_from_json(ruleset_to_json(rules))
+    assert rebuilt == rules
     assert rebuilt.rules == rules.rules
     assert rebuilt.default_decision == rules.default_decision
     assert rebuilt.attribute_bin_counts == rules.attribute_bin_counts
