@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import DecisionTable, SplitSpec, _ArrayFields, _frozen, _integer, _real, _reals, split
-from .discretize import CutSet, _kept_cuts, apply_cuts, percentile_value_grid
+from .discretize import CutSet, N_POSITIONS, _kept_cuts, apply_cuts, percentile_value_grid
 from .roughset import KEY_LIMIT, _majority, _row_keys, classify_table, induce_rules
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "write_history_csv",
 ]
 
-N_POSITIONS = 99  # candidate percentiles 1..99
 TAU_INIT = 1.0
 TAU_FLOOR = 1e-6
 COST_FLOOR = 1e-3  # deposit uses max(cost, COST_FLOOR) so 1/cost stays finite

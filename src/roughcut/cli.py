@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import synth
 from .aco import AcoParams, optimize, write_history_csv
-from .data import DecisionTable, SplitSpec, clip_outliers, load_csv, split, write_csv
+from .data import CLIP_PERCENTILES, DecisionTable, SplitSpec, clip_outliers, load_csv, split, write_csv
 from .discretize import CutSet, cuts_to_json, efb_cuts
 from .metrics import EvaluationReport, evaluate_pipeline, report_to_json, roc_to_csv
 from .roughset import ruleset_to_json
@@ -80,7 +80,7 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def _write_outputs(out: Path, writers: dict[str, Callable[[Path], None]]) -> None:
-    """Write each named file into ``out``; if one fails, remove those already written."""
+    """Write each named file into ``out``; if one fails, remove the files already written."""
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -89,7 +89,8 @@ def _write_outputs(out: Path, writers: dict[str, Callable[[Path], None]]) -> Non
             write(written[-1])
     except BaseException:
         for path in written:
-            path.unlink(missing_ok=True)
+            if not path.is_dir():  # a directory in the way: the writer's error is the one to raise
+                path.unlink(missing_ok=True)
         raise
 
 
@@ -179,19 +180,19 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--data", type=Path, help="CSV decision table (last column 'label')")
     source.add_argument("--synth-n", type=int, help="generate a synthetic table of this size")
     parser.add_argument("--profile", type=Path, help="gas profile JSON for synthetic data")
-    parser.add_argument("--train-frac", type=float, default=0.7, help="training fraction (default 0.7)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for generation, split, and search (default 0)")
+    parser.add_argument("--train-frac", type=float, default=0.7, help="training fraction (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for generation, split, and search (default %(default)s)")
     parser.add_argument("--out", type=Path, required=True, help="output directory")
-    parser.add_argument("--cuts", type=int, default=2, help="cuts per attribute (default 2)")
+    parser.add_argument("--cuts", type=int, default=AcoParams.num_cuts, help="cuts per attribute (default %(default)s)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; the ACO search runs on one thread (default 1)")
+                        help="accepted for compatibility; the ACO search runs on one thread (default %(default)s)")
     parser.add_argument("--clip-outliers", action="store_true",
-                        help="clip each attribute to its [0.5, 99.5] percentile range")
-    parser.add_argument("--ants", type=int, default=10, help="ACO: number of ants (default 10)")
-    parser.add_argument("--iters", type=int, default=100, help="ACO: iterations (default 100)")
-    parser.add_argument("--alpha", type=float, default=0.09, help="ACO: pheromone exponent (default 0.09)")
-    parser.add_argument("--rho", type=float, default=0.9, help="ACO: evaporation constant (default 0.9)")
-    parser.add_argument("--q", type=float, default=1.0, help="ACO: deposit constant (default 1.0)")
+                        help=f"clip each attribute to its {list(CLIP_PERCENTILES)} percentile range")
+    parser.add_argument("--ants", type=int, default=AcoParams.num_ants, help="ACO: number of ants (default %(default)s)")
+    parser.add_argument("--iters", type=int, default=AcoParams.num_iterations, help="ACO: iterations (default %(default)s)")
+    parser.add_argument("--alpha", type=float, default=AcoParams.alpha, help="ACO: pheromone exponent (default %(default)s)")
+    parser.add_argument("--rho", type=float, default=AcoParams.rho, help="ACO: evaporation constant (default %(default)s)")
+    parser.add_argument("--q", type=float, default=AcoParams.q_deposit, help="ACO: deposit constant (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic nine-gas CSV")
-    gen.add_argument("--n", type=int, required=True, help="number of objects (>= 10)")
-    gen.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
+    gen.add_argument("--n", type=int, required=True, help=f"number of objects (>= {synth.MIN_OBJECTS})")
+    gen.add_argument("--seed", type=int, default=0, help="generator seed (default %(default)s)")
     gen.add_argument("--profile", type=Path, help="gas profile JSON (default: packaged profile)")
     gen.add_argument("--out", type=Path, required=True, help="output CSV path")
 

@@ -26,6 +26,8 @@ __all__ = [
     "percentile_value_grid",
 ]
 
+N_POSITIONS = 99  # candidate percentiles 1..99
+
 
 @dataclass(frozen=True)
 class CutSet:
@@ -180,8 +182,8 @@ def apply_cuts(table: DecisionTable, cuts: CutSet) -> DiscretizedTable:
 def percentile_to_cut(table: DecisionTable, attribute: int, p: int) -> float:
     """Nearest-rank p-th percentile of an attribute: the ceil(p*n/100)-th sorted value."""
     p = _integer(p, "percentile")
-    if not 1 <= p <= 99:
-        raise ValueError("percentile must lie in [1, 99]")
+    if not 1 <= p <= N_POSITIONS:
+        raise ValueError(f"percentile must lie in [1, {N_POSITIONS}]")
     attribute = _integer(attribute, "attribute")
     if not 0 <= attribute < table.n_attributes:
         raise ValueError(f"attribute {attribute} is not in [0, {table.n_attributes})")
@@ -189,9 +191,9 @@ def percentile_to_cut(table: DecisionTable, attribute: int, p: int) -> float:
 
 
 def percentile_value_grid(table: DecisionTable) -> np.ndarray:
-    """(n_attributes, 99) array of nearest-rank percentile values, p = 1..99."""
+    """(n_attributes, N_POSITIONS) array of nearest-rank percentile values, p = 1..N_POSITIONS."""
     # ranks from 1: the same IEEE division as math.ceil(p * n / 100), exact while p * n < 2**53
-    ranks = np.ceil(np.arange(1, 100) * table.n_objects / 100).astype(np.int64)
+    ranks = np.ceil(np.arange(1, N_POSITIONS + 1) * table.n_objects / 100).astype(np.int64)
     return np.sort(table.values.T, axis=1)[:, ranks - 1]
 
 

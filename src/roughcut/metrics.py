@@ -4,7 +4,7 @@ end-to-end discretize/induce/classify report with timings."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from time import perf_counter
 from typing import Sequence
 
@@ -65,7 +65,11 @@ class RocCurve:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Everything the comparison protocol reports for one trained classifier."""
+    """Everything the comparison protocol reports for one trained classifier.
+
+    report.json holds every compared field, ``matrix`` first as ``confusion``;
+    a ``compare=False`` field (``curve``, ``rules``) stays out of it.
+    """
 
     matrix: ConfusionMatrix
     accuracy: float
@@ -170,19 +174,9 @@ def evaluate_pipeline(
 
 
 def report_to_json(report: EvaluationReport) -> dict:
-    return {
-        "confusion": {
-            "tp": report.matrix.tp,
-            "tn": report.matrix.tn,
-            "fp": report.matrix.fp,
-            "fn": report.matrix.fn,
-        },
-        "accuracy": report.accuracy,
-        "auc": report.auc,
-        "num_rules": report.num_rules,
-        "num_certain_rules": report.num_certain_rules,
-        "train_time_s": report.train_time_s,
-        "test_time_s": report.test_time_s,
+    """The confusion counts, then every other compared field of the report, in field order."""
+    return {"confusion": asdict(report.matrix)} | {
+        f.name: getattr(report, f.name) for f in fields(report) if f.compare and f.name != "matrix"
     }
 
 

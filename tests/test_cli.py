@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughcut import (
-    GAS_NAMES, SplitSpec, accuracy, apply_cuts, auc, classify_table, confusion, cuts_from_json,
+    GAS_NAMES, AcoParams, SplitSpec, accuracy, apply_cuts, auc, classify_table, confusion, cuts_from_json,
     default_profile, generate, load_csv, profile_to_json, roc, ruleset_from_json, split,
 )
 import roughcut.synth as synth
-from roughcut.cli import main
+from roughcut.cli import _params, _write_outputs, build_parser, main
 
 TIMING_KEYS = ("train_time_s", "test_time_s")
 
@@ -266,6 +266,51 @@ def test_outputs_written_before_a_failing_one_are_removed(tmp_path, capsys, comm
     errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("iteration ")]
     assert len(errors) == 1 and errors[0].startswith("error: ") and taken in errors[0]
     assert [path.name for path in out.iterdir()] == [taken]
+
+
+def test_cleanup_leaves_a_directory_and_raises_the_writers_error(tmp_path):
+    # the failing name is a directory the writer did not make; unlinking it would replace the error
+    out = tmp_path / "out"
+    (out / "taken").mkdir(parents=True)
+
+    def disk_full(path):
+        raise OSError("disk full")
+
+    writers = {"first.json": lambda path: path.write_text("{}"), "taken": disk_full}
+    with pytest.raises(OSError, match="^disk full$"):
+        _write_outputs(out, writers)
+    assert [path.name for path in out.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("command", [["run", "--discretizer", "aco"], ["compare"]])
+def test_colony_flags_default_to_aco_params(tmp_path, command):
+    args = build_parser().parse_args([*command, "--synth-n", "300", "--out", str(tmp_path)])
+    assert (args.cuts, args.ants, args.iters, args.alpha, args.rho, args.q) == (
+        AcoParams.num_cuts, AcoParams.num_ants, AcoParams.num_iterations,
+        AcoParams.alpha, AcoParams.rho, AcoParams.q_deposit,
+    )
+    assert _params(args)[1] == AcoParams()
+
+
+COLONY_HELP = ["cuts per attribute (default 2)", "number of ants (default 10)", "iterations (default 100)",
+               "pheromone exponent (default 0.09)", "evaporation constant (default 0.9)",
+               "deposit constant (default 1.0)", "its [0.5, 99.5] percentile range"]
+
+
+@pytest.mark.parametrize("command, shown", [
+    (["run", "--discretizer", "aco"], COLONY_HELP),
+    (["compare"], COLONY_HELP),
+    (["generate"], ["number of objects (>= 10)", "generator seed (default 0)"]),
+])
+def test_help_shows_the_defaults(capsys, monkeypatch, command, shown):
+    # help strings are %-formatted only when rendered, so render each command's help
+    monkeypatch.setenv("COLUMNS", "200")  # one line per flag, so no text wraps
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for fragment in shown:
+        assert fragment in text
 
 
 def test_run_efb_still_checks_the_colony_flags(tmp_path, capsys):

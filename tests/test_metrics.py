@@ -6,6 +6,7 @@ ROC sweep against a literal one-threshold-at-a-time reconstruction.
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -292,6 +293,9 @@ def test_report_json_fields():
     assert payload["num_certain_rules"] == report.num_certain_rules
     assert payload["train_time_s"] >= 0.0
     assert payload["test_time_s"] >= 0.0
+    # confusion first, then every other compared field in declaration order; curve and rules stay out
+    compared = [f.name for f in fields(EvaluationReport) if f.compare and f.name != "matrix"]
+    assert list(payload) == ["confusion", *compared]
 
 
 def test_roc_to_csv_roundtrips(tmp_path):
