@@ -108,27 +108,35 @@ def accuracy(m: ConfusionMatrix) -> float:
 
 
 def roc(scores: Sequence[float], actuals: Sequence[int]) -> RocCurve:
-    """Threshold sweep over distinct scores, descending; tied scores form one step."""
+    """Threshold sweep over distinct scores, descending; tied scores form one step.
+
+    The distinct scores come from one value sort. Each step's point counts the
+    objects of each class scoring at or above its threshold, by ``searchsorted``
+    in that class's own sorted scores. A step's threshold is the score of its
+    last object in input order: ``0.0`` and ``-0.0`` tie, and the sort may put
+    either sign first.
+    """
     scores = _reals(scores, "score", "object", (None,), "scores must be 1-D")
     if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")  # argsort puts NaN last, as if lowest
+        raise ValueError("scores must be finite")  # NaN ties no score, so it would be a step of its own
     actuals = _labels(actuals, scores.size, "actuals", "object")
     n_pos = int((actuals == 1).sum())
     n_neg = int((actuals == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC requires both classes among the actuals")
 
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_actuals = actuals[order]
-    cum_tp = np.cumsum(sorted_actuals == 1)
-    cum_fp = np.cumsum(sorted_actuals == 0)
-    # index of the last element in each tied-score group
-    step_ends = np.append(np.nonzero(np.diff(sorted_scores))[0], len(sorted_scores) - 1)
+    ranked = np.sort(scores)
+    thresholds = ranked[np.append(True, ranked[1:] != ranked[:-1])][::-1]
+    zeros = np.flatnonzero(scores == 0)
+    if zeros.size:
+        thresholds[thresholds == 0] = scores[zeros[-1]]
+    negatives, positives = (np.sort(scores[actuals == label]) for label in (0, 1))
+    fp = n_neg - np.searchsorted(negatives, thresholds)
+    tp = n_pos - np.searchsorted(positives, thresholds)
 
-    rates = np.stack([cum_fp[step_ends] / n_neg, cum_tp[step_ends] / n_pos], axis=1)
+    rates = np.stack([fp / n_neg, tp / n_pos], axis=1)
     points = ((0.0, 0.0), *map(tuple, rates.tolist()))
-    return RocCurve(points, (math.inf, *sorted_scores[step_ends].tolist()))
+    return RocCurve(points, (math.inf, *thresholds.tolist()))
 
 
 def auc(curve: RocCurve) -> float:

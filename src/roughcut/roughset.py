@@ -128,8 +128,7 @@ class RuleSet(_ArrayFields):
         # Sorted distinct keys, the rule holding each (then -1, for no key),
         # and the partial keys renumbered with, which match ranks queries against.
         keys, renumbered = _row_keys(zip(self.conditions.T, self.attribute_bin_counts))
-        positions = np.argsort(keys)
-        keys = keys[positions]
+        keys, positions = _sort_rows(keys)
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate rule conditions")
         object.__setattr__(self, "_keys", keys)
@@ -196,16 +195,39 @@ def _row_keys(
 def _find(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Position of each key in the sorted distinct keys ``distinct``, or -1 where absent.
 
-    The keys are searched in sorted order, so that numpy narrows each binary
-    search from the previous one, and the positions are scattered back.
+    The keys are searched once ``_sort_rows`` has sorted them, so that numpy
+    narrows each binary search from the previous one, and the positions are
+    scattered back to the keys' rows.
     """
     if not distinct.size:
         return np.full(keys.shape, -1, dtype=np.int64)
-    order = np.argsort(keys)
+    sorted_keys, order = _sort_rows(keys)
     at = np.empty(keys.shape, dtype=np.int64)
-    at[order] = np.searchsorted(distinct, keys[order])
+    at[order] = np.searchsorted(distinct, sorted_keys)
     np.minimum(at, distinct.size - 1, out=at)
     return np.where(distinct[at] == keys, at, -1)
+
+
+def _sort_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 ``keys`` sorted ascending, and the row each sorted key came from; equal keys keep ascending rows.
+
+    Each key is packed with its row as ``key << s | row``, ``s`` the bits of the
+    largest row index, and the packed values get a value sort, which numpy does
+    faster than an argsort. A key whose shift would leave int64, outside
+    ``[-(2**63 >> s), 2**63 >> s)``, leaves no room for the row, so then every
+    key is first replaced by its rank among the distinct keys.
+    """
+    shift = max(keys.size - 1, 0).bit_length()
+    limit = 2**63 >> shift
+    distinct = None
+    if keys.size and not -limit <= int(keys.min()) <= int(keys.max()) < limit:
+        distinct, keys = np.unique(keys, return_inverse=True)
+    packed = keys << shift
+    packed |= np.arange(keys.size)
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return (packed if distinct is None else distinct[packed]), order
 
 
 def _group_rows(bins: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -213,23 +235,21 @@ def _group_rows(bins: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, np
 
     Cells are numbered by first appearance. Returns ``(first, cell_of)``:
     cell c has first row ``first[c]``, and row r lies in cell ``cell_of[r]``.
-    The keys are sorted once, by numpy's default (unstable) sort: each run of
-    equal sorted keys is one cell, and its first row is the least row index
-    in the run, so the order within a run does not matter.
+    ``_sort_rows`` sorts the keys, each run of equal sorted keys is one cell,
+    and the run's first row is the cell's, as equal keys come out in ascending
+    row order; a second ``_sort_rows`` of those first rows renumbers the cells.
     """
     keys, _ = _row_keys(zip(bins.T, counts))
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    sorted_keys, order = _sort_rows(keys)
     starts = np.empty(keys.size, dtype=bool)
     starts[:1] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
-    first = np.minimum.reduceat(order, np.flatnonzero(starts))
-    by_first = np.argsort(first)
+    first, by_first = _sort_rows(order[starts])
     renumber = np.empty_like(by_first)
     renumber[by_first] = np.arange(by_first.size)
     cell_of = np.empty_like(order)
     cell_of[order] = renumber[np.cumsum(starts) - 1]
-    return first[by_first], cell_of
+    return first, cell_of
 
 
 def partition(table: DiscretizedTable, attributes: Iterable[int]) -> Partition:
@@ -302,10 +322,11 @@ def induce_rules(table: DiscretizedTable) -> RuleSet:
 
     first, cell_of = _group_rows(table.bins, table.attribute_bin_counts)
     sizes = np.bincount(cell_of)
-    ones = np.bincount(cell_of[table.decisions == 1], minlength=sizes.size)
+    ones = np.bincount(cell_of, weights=table.decisions).astype(np.int64)  # exact below 2**53 objects
     decisions = _majority(sizes - ones, ones, prior)
     confidences = np.maximum(ones, sizes - ones) / sizes
-    return RuleSet(table.bins[first], decisions, sizes, confidences, prior,
+    # Column-major, as RuleSet stores it, so that it takes them without a transposing copy.
+    return RuleSet(table.bins.T.take(first, axis=1).T, decisions, sizes, confidences, prior,
                    table.attribute_bin_counts)
 
 

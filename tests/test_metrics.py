@@ -10,7 +10,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughcut import (
@@ -178,6 +178,8 @@ def loop_roc(scores, actuals):
 @given(case=st.integers(2, 60).flatmap(lambda n: st.tuples(
     st.lists(st.floats(-1e300, 1e300) | st.sampled_from((0.0, -0.0, 0.5, 5e-324, 1.0)), min_size=n, max_size=n),
     st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n).filter(lambda a: 0 < sum(a) < len(a)))))
+@example(case=([0.0, -0.0], [0, 1]))  # a tied step's threshold takes its last object's sign
+@example(case=([-0.0, 0.0], [1, 0]))
 def test_roc_matches_the_per_score_loop_bit_for_bit(case):
     scores, actuals = case
     curve = roc(scores, actuals)

@@ -32,7 +32,7 @@ from roughcut import (
     ruleset_to_json,
 )
 import roughcut.roughset as roughset
-from roughcut.roughset import KEY_LIMIT, _group_rows, _row_keys
+from roughcut.roughset import KEY_LIMIT, _group_rows, _row_keys, _sort_rows
 
 
 def brute_partition(bins, attrs):
@@ -772,12 +772,61 @@ def repeated_rows(draw):
 @example(case=(np.array([[0, 0]]), (3, 3)))
 @example(case=(WIDE.bins, WIDE.attribute_bin_counts))
 @example(case=(np.array([[5, 1], [2, 0], [5, 1], [2, 0], [7, 1]]), (2**40, 2)))
+@example(case=(np.array([[0], [2**61], [0], [2**61], [3]]), (2**62,)))  # keys too wide to pack with a row
 def test_group_rows_matches_the_unique_reference(case):
     bins, counts = case
     first, cell_of = _group_rows(bins, counts)
     expected_first, expected_cell_of = unique_group_rows(bins, counts)
     assert first.tolist() == expected_first.tolist()
     assert cell_of.tolist() == expected_cell_of.tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 9, 300])
+@pytest.mark.parametrize("past", [False, True])
+def test_sort_rows_matches_a_stable_argsort(n, past):
+    # Keys just inside, or just past, the range where key << s stays in int64
+    # (s the bits of the largest row index), with -1 keys and ties, shuffled.
+    edge = 2**63 >> max(n - 1, 0).bit_length()
+    top, bottom = (edge, -edge - 1) if past else (edge - 1, -edge)
+    pool = np.clip([top, bottom, -1, 0, 1], -(2**63), 2**63 - 1).astype(np.int64)
+    keys = np.random.default_rng(n).choice(pool, n)
+    sorted_keys, order = _sort_rows(keys)
+    expected = np.argsort(keys, kind="stable")
+    assert order.tolist() == expected.tolist()
+    assert sorted_keys.tolist() == keys[expected].tolist()
+    assert sorted_keys.dtype == order.dtype == np.int64
+
+
+def test_empty_tables_and_rule_sets_give_empty_results():
+    empty = DiscretizedTable(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64), (2, 3))
+    part = partition(empty, [0, 1])
+    assert part.classes == () and part.class_of.tolist() == [] and part.class_of.dtype == np.int64
+    no_rules = RuleSet(np.zeros((0, 2), dtype=np.int64), [], [], [], 1, (2, 3))
+    some_rules = induce_rules(disc([[1, 2], [0, 0]], [0, 1]))
+    for rules in (no_rules, some_rules):
+        at = rules.match(np.zeros((0, 2), dtype=np.int64))
+        assert at.tolist() == [] and at.dtype == np.int64
+        decisions, scores = classify_table(rules, empty)
+        assert (decisions.tolist(), scores.tolist()) == ([], [])
+        assert (decisions.dtype, scores.dtype) == (np.int64, np.float64)
+    assert no_rules.match([[1, 2], [0, 0]]).tolist() == [-1, -1]
+    decisions, scores = classify_table(no_rules, disc([[1, 2]], [0]))
+    assert (decisions.tolist(), scores.tolist()) == ([1], [0.5])
+
+
+def test_induce_rules_counts_each_cell_in_integers():
+    # The class-1 counts come from a weighted (float) bincount; they must be cast back to exact integers.
+    seen, majority = [], roughset._majority
+
+    def spy(zeros, ones, tie):
+        seen.append((zeros.dtype, ones.dtype))
+        return majority(zeros, ones, tie)
+
+    table = disc([[0, 1], [0, 1], [1, 0], [2, 2], [1, 0]], [1, 0, 1, 0, 1])
+    with mock.patch.object(roughset, "_majority", spy):
+        rules = induce_rules(table)
+    assert seen[-1] == (np.int64, np.int64)
+    assert rules.supports.tolist() == [2, 2, 1]
 
 
 @PROPERTY_SETTINGS
