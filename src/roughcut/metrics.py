@@ -118,7 +118,7 @@ def roc(scores: Sequence[float], actuals: Sequence[int]) -> RocCurve:
     """
     scores = _reals(scores, "score", "object", (None,), "scores must be 1-D")
     if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")  # NaN ties no score, so it would be a step of its own
+        raise ValueError("scores must be finite")  # NaN sorts above every score and ties none, not even NaN
     actuals = _labels(actuals, scores.size, "actuals", "object")
     n_pos = int((actuals == 1).sum())
     n_neg = int((actuals == 0).sum())
